@@ -57,7 +57,7 @@ from .liealg import (
     match_in_span,
     transform_tensor,
 )
-from .integrate import Trajectory, cumulative_simpson, hermite_interpolant, rk4_solve
+from .integrate import Trajectory, cumulative_simpson, rk4_solve
 from .liesys import (
     LieSystem,
     ResidualReport,

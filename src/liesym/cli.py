@@ -3,7 +3,8 @@
 Subcommands: list, show, check-algebra, symmetrize, verify, integrate,
 pde.  Exit codes: 0 success, 1 failed check (algebra not closed,
 residual above tolerance, non-integrable coefficients), 2 unreadable
-input, 3 pole encountered, 64 usage error.  With a fixed seed (flag or
+input, 3 pole encountered, 64 usage error (also a run that needs the
+value of a profile left opaque).  With a fixed seed (flag or
 LIESYM_SEED) every run is byte-for-byte reproducible.
 
 Input files are JSON.  A system document has "vars", "basis" (one list
@@ -37,8 +38,10 @@ from .errors import (
     LiesymError,
     NotClosed,
     NotIntegrable,
+    OpaqueNoEvaluator,
     ParseError,
     PoleEncountered,
+    UnboundSymbol,
     UnknownName,
 )
 from .expr import Expr, OpaqueFunction, parse
@@ -592,7 +595,7 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     except UsageError as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnknownName, BadParams) as exc:
+    except (UnknownName, BadParams, OpaqueNoEvaluator, UnboundSymbol) as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

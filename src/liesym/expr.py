@@ -424,16 +424,6 @@ class Expr:
     def has_opaque(self) -> bool:
         return bool(self.opaque_atoms())
 
-    def is_constant(self) -> bool:
-        return not _p_atoms(self.num) and not _p_atoms(self.den)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("expression is not constant")
-        if not self.num:
-            return Fraction(0)
-        return self.num[()] / self.den[()]
-
     # -- calculus ------------------------------------------------------
 
     def diff(self, var: str) -> "Expr":

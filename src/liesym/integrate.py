@@ -1,4 +1,4 @@
-"""Deterministic fixed-step numerics: RK4, Simpson, Hermite interpolation.
+"""Deterministic fixed-step numerics: RK4 and cumulative Simpson quadrature.
 
 The integrator is deliberately plain: classical RK4 with a constant step,
 plus a per-step error estimate obtained by comparing the full step with
@@ -132,24 +132,3 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
         raise QuadratureDiverged("cumulative Simpson produced non-finite values")
     return out
 
-
-def hermite_interpolant(ts: np.ndarray, values: np.ndarray,
-                        derivs: np.ndarray) -> Callable[[float], float]:
-    """Piecewise cubic Hermite interpolant from value and slope samples."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    derivs = np.asarray(derivs, dtype=float)
-
-    def fn(t: float) -> float:
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(ts) - 2)
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s ** 2 * (3 - 2 * s)
-        h11 = s ** 2 * (s - 1)
-        return (h00 * values[i] + h10 * h * derivs[i]
-                + h01 * values[i + 1] + h11 * h * derivs[i + 1])
-
-    return fn

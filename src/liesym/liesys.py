@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .expr import Expr, ZeroStatus, compile_numeric
 from .integrate import Trajectory, cumulative_simpson, rk4_solve
-from .liealg import LieAlgebraBasis, StructureTensor, match_in_span
+from .liealg import LieAlgebraBasis, StructureTensor, field_rank, match_in_span
 from .vectorfield import VectorField, autonomize, lie_bracket
 
 
@@ -61,6 +60,7 @@ class LieSystem:
         if self.time in self.algebra.vars:
             raise DimensionMismatch(
                 f"time symbol {self.time} clashes with a state coordinate")
+        _check_state_box(self.state_box, self.algebra.vars)
 
     @property
     def r(self) -> int:
@@ -97,6 +97,13 @@ class LieSystem:
         return self.state_box or tuple((-2.0, 2.0) for _ in self.vars)
 
 
+def _check_state_box(box, vars: Tuple[str, ...]) -> None:
+    if box is not None and len(box) != len(vars):
+        raise DimensionMismatch(
+            f"state box has {len(box)} intervals for {len(vars)} state "
+            f"coordinates")
+
+
 def integrate(sys: LieSystem, x0: Sequence[float],
               t_span: Tuple[float, float], step: float) -> Trajectory:
     """Fixed-step RK4 trajectory of the system itself."""
@@ -107,7 +114,55 @@ def integrate(sys: LieSystem, x0: Sequence[float],
 # -- symmetry system construction ------------------------------------------
 
 
-def symmetry_system_basis(tensor: StructureTensor, prefix: str = "f"):
+def _y_generators(tensor: StructureTensor,
+                 names: Tuple[str, ...]) -> List[VectorField]:
+    """Y_a = sum_{b,g} f_b c_{bag} d/df_g for a = 1..r.
+
+    The last r names are f1..fr; a leading f0 coordinate, as in the
+    single-time symmetry system, gets zero components.
+    """
+    r = tensor.r
+    lead = len(names) - r
+    fs = [Expr.var(v) for v in names[lead:]]
+    y_fields = []
+    for a in range(r):
+        comps = [Expr.zero()] * len(names)
+        for b in range(r):
+            for g in range(r):
+                c = tensor.c(b, a, g)
+                if c:
+                    comps[lead + g] = comps[lead + g] + Expr.const(c) * fs[b]
+        y_fields.append(VectorField(names, comps))
+    return y_fields
+
+
+def _fold_generators(y_fields: Sequence[VectorField],
+                     rows: Sequence[Sequence[Expr]]
+                     ) -> Tuple[List[VectorField], List[List[Expr]]]:
+    """Drop zero generators and fold dependent ones into the kept ones.
+
+    rows[a] holds the coefficients of y_fields[a], one per time direction;
+    a generator equal to sum_j c_j kept[j] adds c_j times its row to the
+    row of kept[j], which leaves the combined field unchanged.
+    """
+    kept: List[VectorField] = []
+    kept_rows: List[List[Expr]] = []
+    for y, row in zip(y_fields, rows):
+        if y.is_zero() is ZeroStatus.ZERO:
+            continue
+        combo = match_in_span(kept, y) if kept else None
+        if combo is None:
+            kept.append(y)
+            kept_rows.append(list(row))
+            continue
+        for j, c in enumerate(combo):
+            if c:
+                kept_rows[j] = [k + Expr.const(c) * e
+                                for k, e in zip(kept_rows[j], row)]
+    return kept, kept_rows
+
+
+def symmetry_system_basis(tensor: StructureTensor):
     """The generating fields of the symmetry system on (f0, ..., fr).
 
     Returns (z_fields, w_fields, y_fields):
@@ -116,7 +171,7 @@ def symmetry_system_basis(tensor: StructureTensor, prefix: str = "f"):
       Y_a = sum_{b,g} f_b c_{bag} d/df_g   for a = 1..r.
     """
     r = tensor.r
-    names = tuple(f"{prefix}{i}" for i in range(r + 1))
+    names = tuple(f"f{i}" for i in range(r + 1))
     f0 = Expr.var(names[0])
 
     def unit(i):
@@ -126,16 +181,7 @@ def symmetry_system_basis(tensor: StructureTensor, prefix: str = "f"):
 
     z_fields = [unit(i) for i in range(r + 1)]
     w_fields = [f0 * unit(i) for i in range(1, r + 1)]
-    y_fields = []
-    for a in range(r):
-        comps = [Expr.zero()] * (r + 1)
-        for b in range(r):
-            for g in range(r):
-                c = tensor.c(b, a, g)
-                if c:
-                    comps[g + 1] = comps[g + 1] + Expr.const(c) * Expr.var(names[b + 1])
-        y_fields.append(VectorField(names, comps))
-    return z_fields, w_fields, y_fields
+    return z_fields, w_fields, _y_generators(tensor, names)
 
 
 @dataclass(frozen=True)
@@ -153,7 +199,7 @@ class SymmetrySystem:
         return self.system.drift_field().components
 
 
-def build_symmetry_system(sys: LieSystem, prefix: str = "f") -> SymmetrySystem:
+def build_symmetry_system(sys: LieSystem) -> SymmetrySystem:
     """Construct the symmetry system of a Lie system with gauge sys.gauge.
 
     The Vessiot-Guldberg generators are the Z, W and Y fields; linearly
@@ -161,33 +207,15 @@ def build_symmetry_system(sys: LieSystem, prefix: str = "f") -> SymmetrySystem:
     folded into the kept ones with exact coefficient rewriting, so the
     returned basis is a genuine basis.
     """
-    tensor = sys.algebra.tensor
-    r = tensor.r
     t = sys.time
     b = sys.coeffs
     b0 = sys.gauge
-    z_fields, w_fields, y_fields = symmetry_system_basis(tensor, prefix)
+    z_fields, w_fields, y_fields = symmetry_system_basis(sys.algebra.tensor)
+    kept, kept_rows = _fold_generators(y_fields, [[ba] for ba in b])
 
-    fields: List[VectorField] = list(z_fields) + list(w_fields)
-    coeffs: List[Expr] = [b0] + [b0 * ba for ba in b] + [ba.diff(t) for ba in b]
-
-    kept: List[VectorField] = []
-    kept_coeffs: List[Expr] = []
-    for a in range(r):
-        y = y_fields[a]
-        if y.is_zero() is ZeroStatus.ZERO:
-            continue
-        combo = match_in_span(kept, y) if kept else None
-        if combo is None:
-            kept.append(y)
-            kept_coeffs.append(b[a])
-        else:
-            for j, c in enumerate(combo):
-                if c:
-                    kept_coeffs[j] = kept_coeffs[j] + Expr.const(c) * b[a]
-    fields += kept
-    coeffs += kept_coeffs
-
+    fields = list(z_fields) + list(w_fields) + kept
+    coeffs = ([b0] + [b0 * ba for ba in b] + [ba.diff(t) for ba in b]
+              + [row[0] for row in kept_rows])
     algebra = LieAlgebraBasis(fields)
     inner = LieSystem(algebra, tuple(coeffs), gauge=Expr.zero(), time=t,
                       name=f"symmetry-system({sys.name})" if sys.name else "symmetry-system")
@@ -197,10 +225,9 @@ def build_symmetry_system(sys: LieSystem, prefix: str = "f") -> SymmetrySystem:
 
 def vertical_symmetry_dimension(tensor: StructureTensor) -> int:
     """Rank of the span of the Y fields: r minus the center dimension."""
-    from .liealg import field_rank
-
-    _, _, y_fields = symmetry_system_basis(tensor)
-    nonzero = [y for y in y_fields if y.is_zero() is not ZeroStatus.ZERO]
+    names = tuple(f"f{i}" for i in range(1, tensor.r + 1))
+    nonzero = [y for y in _y_generators(tensor, names)
+               if y.is_zero() is not ZeroStatus.ZERO]
     if not nonzero:
         return 0
     return field_rank(nonzero)
@@ -298,13 +325,32 @@ class ResidualReport:
         return float(self.max_abs)
 
 
-def _sample_states(sys: LieSystem, nx: int, seed: int) -> np.ndarray:
+def _need_points(count: int) -> None:
+    """A sampled check over no points proves nothing, so it fails."""
+    if count < 1:
+        raise GridEmpty("residual grid has no sample points")
+
+
+def _sample_states(box: Sequence[Tuple[float, float]], nx: int,
+                   seed: int) -> np.ndarray:
+    """nx seeded uniform points in the box, one column per coordinate."""
+    _need_points(nx)
     rng = np.random.default_rng(seed)
-    box = sys.default_box()
     pts = np.empty((nx, len(box)))
     for j, (lo, hi) in enumerate(box):
         pts[:, j] = rng.uniform(lo, hi, size=nx)
     return pts
+
+
+def _thin(m: int, nt: int) -> np.ndarray:
+    """Indices of every (m // nt)-th point of an m-point candidate grid."""
+    _need_points(min(m, nt))
+    return np.arange(0, m, max(1, m // nt))
+
+
+def _magnitude(v: float) -> float:
+    """|v|, with NaN read as infinitely bad so that a running max keeps it."""
+    return math.inf if math.isnan(v) else abs(v)
 
 
 def _pairwise_brackets(fields: Sequence[VectorField]):
@@ -313,6 +359,37 @@ def _pairwise_brackets(fields: Sequence[VectorField]):
         for b in range(a + 1, len(fields)):
             out[(a, b)] = lie_bracket(fields[a], fields[b])
     return out
+
+
+def _bracket_kernel(fields: Sequence[VectorField], order: Sequence[str]):
+    """Sampled residual of sum_a lin[a] X_a + sum_{a<b} pair[a, b] [X_a, X_b].
+
+    The basis and its pairwise brackets are compiled once over the given
+    argument order.  The returned function takes (lin, pair, args) and
+    gives the worst component at args; each component sums the linear
+    terms first, then the bracket terms in (a, b) order.
+    """
+    r = len(fields)
+    basis_fns = [f.compiled(order) for f in fields]
+    bracket_fns = {k: v.compiled(order)
+                   for k, v in _pairwise_brackets(fields).items()}
+    n = len(fields[0].components)
+
+    def worst_component(lin, pair, args) -> float:
+        worst = 0.0
+        for i in range(n):
+            acc = 0.0
+            for a in range(r):
+                if lin[a]:
+                    acc += lin[a] * basis_fns[a][i](args)
+            for key, fns in bracket_fns.items():
+                w = pair[key]
+                if w:
+                    acc += w * fns[i](args)
+            worst = max(worst, _magnitude(acc))
+        return float(worst)
+
+    return worst_component
 
 
 def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
@@ -329,7 +406,7 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
     cancellation reports (0.0, exact=True).  Otherwise the same quantity
     is evaluated numerically on a (t, x) sample grid, with the bracket
     part assembled from precomputed pairwise brackets [X_a, X_b] rather
-    than from structure constants.
+    than from structure constants.  A non-finite residual reports inf.
     """
     r = sys.r
     if candidate.r != r:
@@ -355,27 +432,22 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
         if statuses <= {ZeroStatus.ZERO}:
             return ResidualReport(0.0, exact=True)
 
-    if nt < 1 or nx < 1:
-        raise GridEmpty("residual grid has no sample points")
+    xs = _sample_states(sys.default_box(), nx, seed)
     if candidate.is_closed_form:
+        _need_points(nt)
         ts = np.linspace(t_span[0], t_span[1], nt)
         vals, dvals = candidate.channels_at(ts)
     else:
-        stride = max(1, len(candidate.grid) // nt)
-        idx = np.arange(0, len(candidate.grid), stride)
+        idx = _thin(len(candidate.grid), nt)
         ts = candidate.grid[idx]
         vals, dvals = candidate.values[idx], candidate.dvalues[idx]
-    xs = _sample_states(sys, nx, seed)
 
     b_fns = [compile_numeric(b, [t]) for b in sys.coeffs]
     db_fns = [compile_numeric(b.diff(t), [t]) for b in sys.coeffs]
     b0_fn = compile_numeric(sys.gauge, [t])
-    basis_fns = [f.compiled(sys.vars) for f in sys.algebra.fields]
-    bracket_fns = {k: v.compiled(sys.vars)
-                   for k, v in _pairwise_brackets(sys.algebra.fields).items()}
+    kernel = _bracket_kernel(sys.algebra.fields, sys.vars)
 
     worst = 0.0
-    n = len(sys.vars)
     for k, tk in enumerate(ts):
         bv = [fn([tk]) for fn in b_fns]
         dbv = [fn([tk]) for fn in db_fns]
@@ -384,20 +456,12 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
         df0v = dvals[k][0]
         dfv = dvals[k][1:]
         if check_gauge:
-            worst = max(worst, abs(b0_fn([tk]) - df0v))
+            worst = max(worst, _magnitude(b0_fn([tk]) - df0v))
         lin = [f0v * dbv[a] - dfv[a] + df0v * bv[a] for a in range(r)]
         pair = {(a, b): fv[a] * bv[b] - fv[b] * bv[a]
                 for a in range(r) for b in range(a + 1, r)}
         for x in xs:
-            for i in range(n):
-                acc = 0.0
-                for a in range(r):
-                    if lin[a]:
-                        acc += lin[a] * basis_fns[a][i](x)
-                for key, w in pair.items():
-                    if w:
-                        acc += w * bracket_fns[key][i](x)
-                worst = max(worst, abs(acc))
+            worst = max(worst, kernel(lin, pair, x))
     return ResidualReport(worst, exact=False, npoints=len(ts) * len(xs))
 
 
@@ -521,7 +585,7 @@ def candidate_bracket(y1: SymmetryCandidate, y2: SymmetryCandidate,
     if d2values is None:
         raise MissingDerivative(
             "sampled candidate bracket needs second derivative channels")
-    if not np.allclose(y1.grid, y2.grid):
+    if len(y1.grid) != len(y2.grid) or not np.allclose(y1.grid, y2.grid):
         raise DimensionMismatch("candidates live on different grids")
     v1, d1 = y1.values, y1.dvalues
     v2, d2 = y2.values, y2.dvalues
@@ -668,6 +732,8 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
         raise DependentInitialConditions(
             "initial coefficient vectors do not span the algebra")
 
+    xs = _sample_states(sys.default_box(), nx, seed)
+    _need_points(n_sample_times)
     b_fns = [compile_numeric(b, [t]) for b in sys.coeffs]
 
     def rhs(tv, f):
@@ -689,36 +755,26 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     trajs = [rk4_solve(rhs, inits[i], t_span, step, varnames=names)
              for i in range(r)]
 
-    basis_fns = [f.compiled(sys.vars) for f in sys.algebra.fields]
-    bracket_fns = {k: v.compiled(sys.vars)
-                   for k, v in _pairwise_brackets(sys.algebra.fields).items()}
-    xs = _sample_states(sys, nx, seed)
+    kernel = _bracket_kernel(sys.algebra.fields, sys.vars)
     m = len(trajs[0].ts)
     sample_idx = np.linspace(0, m - 1, n_sample_times).astype(int)
 
     worst = 0.0
-    n = len(sys.vars)
     for idx in sample_idx:
         fvecs = [traj.states[idx] for traj in trajs]
         for i in range(r):
             for j in range(i + 1, r):
+                # [Y_i, Y_j] - sum_g c_ijg Y_g with Y_i = sum_a fvecs[i][a] X_a
+                lin = [0.0] * r
+                for g in range(r):
+                    c = tensor.c(i, j, g)
+                    if c:
+                        for al in range(r):
+                            lin[al] -= float(c) * fvecs[g][al]
                 pair = {(a, b): fvecs[i][a] * fvecs[j][b] - fvecs[i][b] * fvecs[j][a]
                         for a in range(r) for b in range(a + 1, r)}
                 for x in xs:
-                    for comp in range(n):
-                        lhs = 0.0
-                        for key, w in pair.items():
-                            if w:
-                                lhs += w * bracket_fns[key][comp](x)
-                        rhs_val = 0.0
-                        for g in range(r):
-                            c = tensor.c(i, j, g)
-                            if c:
-                                acc = 0.0
-                                for al in range(r):
-                                    acc += fvecs[g][al] * basis_fns[al][comp](x)
-                                rhs_val += float(c) * acc
-                        worst = max(worst, abs(lhs - rhs_val))
+                    worst = max(worst, kernel(lin, pair, x))
     return VerticalFamilyReport(worst,
                                 tuple(float(trajs[0].ts[i]) for i in sample_idx),
                                 tuple(trajs))

@@ -43,8 +43,16 @@ from .errors import (
 )
 from .expr import Expr, ZeroStatus, compile_numeric
 from .integrate import Trajectory, rk4_solve
-from .liealg import LieAlgebraBasis, StructureTensor, match_in_span
-from .liesys import _pairwise_brackets, _sample_states
+from .liealg import LieAlgebraBasis, StructureTensor
+from .liesys import (
+    _bracket_kernel,
+    _check_state_box,
+    _fold_generators,
+    _magnitude,
+    _sample_states,
+    _thin,
+    _y_generators,
+)
 from .vectorfield import VectorField, jet_var, lie_bracket, prolong_first
 
 
@@ -90,6 +98,7 @@ class PDELieSystem:
             raise DimensionMismatch(
                 f"time box has {len(self.time_box)} intervals for "
                 f"{len(times)} time directions")
+        _check_state_box(self.state_box, self.algebra.vars)
 
     @property
     def r(self) -> int:
@@ -118,6 +127,11 @@ class PDELieSystem:
         return VectorField(self.times + self.vars,
                            tuple(head) + drift.components)
 
+    def compiled_drifts(self):
+        """Per-direction drift components compiled over (times, x)."""
+        order = self.times + self.vars
+        return [self.drift_field(l).compiled(order) for l in range(self.s)]
+
     def default_time_box(self) -> Tuple[Tuple[float, float], ...]:
         return self.time_box or tuple((0.0, 1.0) for _ in self.times)
 
@@ -125,9 +139,9 @@ class PDELieSystem:
         return self.state_box or tuple((-2.0, 2.0) for _ in self.vars)
 
 
-def time_grid(sys: PDELieSystem, per_axis: int = 5) -> np.ndarray:
-    """Dense lattice over the declared time box, shape (per_axis**s, s)."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in sys.default_time_box()]
+def time_grid(sys: PDELieSystem) -> np.ndarray:
+    """Dense lattice over the declared time box, shape (5**s, s)."""
+    axes = [np.linspace(lo, hi, 5) for lo, hi in sys.default_time_box()]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -218,15 +232,13 @@ def curvature_exprs(sys: PDELieSystem) -> Dict[Tuple[int, int, int], Expr]:
     return out
 
 
-def curvature_residual(sys: PDELieSystem,
-                       grid: Optional[np.ndarray] = None,
-                       per_axis: int = 5) -> CurvatureReport:
+def curvature_residual(sys: PDELieSystem) -> CurvatureReport:
     """Max absolute curvature entry, symbolically when possible.
 
     With a single time direction there is nothing to check.  When every
     entry simplifies to zero the report is exact; otherwise the entries
-    are evaluated on the given time grid (default: dense lattice on the
-    declared box) and the worst point wins.
+    are evaluated on the dense lattice over the declared time box and
+    the worst point wins, a non-finite entry counting as inf.
     """
     if sys.s == 1:
         return CurvatureReport(0.0, exact=True, npoints=0)
@@ -234,13 +246,13 @@ def curvature_residual(sys: PDELieSystem,
     statuses = {e.is_zero() for e in entries.values()}
     if statuses <= {ZeroStatus.ZERO}:
         return CurvatureReport(0.0, exact=True, npoints=0)
-    pts = time_grid(sys, per_axis) if grid is None else np.asarray(grid, float)
+    pts = time_grid(sys)
     worst_val = 0.0
     worst_key: Optional[Tuple[int, int, int]] = None
     for key, e in entries.items():
         fn = compile_numeric(e, sys.times)
         for row in pts:
-            v = abs(fn(row))
+            v = _magnitude(fn(row))
             if v > worst_val:
                 worst_val = v
                 worst_key = key
@@ -251,21 +263,9 @@ def curvature_residual(sys: PDELieSystem,
 # -- symmetry system construction ---------------------------------------------
 
 
-def pde_symmetry_basis(tensor: StructureTensor,
-                       prefix: str = "f") -> List[VectorField]:
+def pde_symmetry_basis(tensor: StructureTensor) -> List[VectorField]:
     """Generators Y_a = sum_{b,g} f_b c_bag d/df_g on (f1, ..., fr)."""
-    r = tensor.r
-    names = tuple(f"{prefix}{i}" for i in range(1, r + 1))
-    fields = []
-    for a in range(r):
-        comps = [Expr.zero()] * r
-        for b in range(r):
-            for g in range(r):
-                c = tensor.c(b, a, g)
-                if c:
-                    comps[g] = comps[g] + Expr.const(c) * Expr.var(names[b])
-        fields.append(VectorField(names, comps))
-    return fields
+    return _y_generators(tensor, tuple(f"f{i}" for i in range(1, tensor.r + 1)))
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ class PDESymmetrySystem:
     y_fields: Tuple[VectorField, ...]
 
 
-def build_pde_symmetry_system(sys: PDELieSystem, prefix: str = "f",
+def build_pde_symmetry_system(sys: PDELieSystem,
                               tol: float = 1e-9) -> PDESymmetrySystem:
     """Construct df_p/dt_l = sum_{a,d} b[a][l] f_d c_dap on (f1..fr).
 
@@ -295,33 +295,14 @@ def build_pde_symmetry_system(sys: PDELieSystem, prefix: str = "f",
             f"curvature residual {rep.max_abs:g} exceeds {tol:g}"
             + (f" at entry {rep.worst}" if rep.worst else ""),
             residual=rep.max_abs)
-    tensor = sys.algebra.tensor
-    r, s = sys.r, sys.s
-    y_fields = pde_symmetry_basis(tensor, prefix)
-
-    kept: List[VectorField] = []
-    kept_rows: List[List[Expr]] = []
-    for a in range(r):
-        y = y_fields[a]
-        if y.is_zero() is ZeroStatus.ZERO:
-            continue
-        combo = match_in_span(kept, y) if kept else None
-        if combo is None:
-            kept.append(y)
-            kept_rows.append(list(sys.coeffs[a]))
-        else:
-            for j, c in enumerate(combo):
-                if c:
-                    for l in range(s):
-                        kept_rows[j][l] = kept_rows[j][l] \
-                            + Expr.const(c) * sys.coeffs[a][l]
+    y_fields = pde_symmetry_basis(sys.algebra.tensor)
+    kept, kept_rows = _fold_generators(y_fields, sys.coeffs)
     if not kept:
-        names = tuple(f"{prefix}{i}" for i in range(1, r + 1))
-        for i in range(r):
-            comps = [Expr.zero()] * r
+        for i, y in enumerate(y_fields):
+            comps = [Expr.zero()] * sys.r
             comps[i] = Expr.one()
-            kept.append(VectorField(names, comps))
-            kept_rows.append([Expr.zero()] * s)
+            kept.append(VectorField(y.vars, comps))
+            kept_rows.append([Expr.zero()] * sys.s)
 
     inner = PDELieSystem(
         LieAlgebraBasis(kept),
@@ -352,10 +333,8 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
     if path.s != sys.s:
         raise DimensionMismatch(
             f"path in {path.s} time dimensions, system has {sys.s}")
-    order = sys.times + sys.vars
     n = len(sys.vars)
-    dfns = [[compile_numeric(c, order) for c in sys.drift_field(l).components]
-            for l in range(sys.s)]
+    dfns = sys.compiled_drifts()
 
     ts_parts: List[np.ndarray] = []
     state_parts: List[np.ndarray] = []
@@ -461,9 +440,7 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
     sysf = built.system
     tpoints = np.vstack([path.point(u) for u in traj.ts])
     values = traj.states
-    order = sysf.times + sysf.vars
-    dfns = [[compile_numeric(c, order)
-             for c in sysf.drift_field(l).components] for l in range(sysf.s)]
+    dfns = sysf.compiled_drifts()
     m, r = values.shape
     dvalues = np.empty((m, r, sysf.s))
     for k in range(m):
@@ -526,14 +503,15 @@ def _vertical_components(candidate: CandidateLike,
 
 
 def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
-                     t_grid: Optional[np.ndarray], per_axis: int,
                      nx: int, seed: int) -> PDESymmetryReport:
     joint = sys.times + sys.vars
     y_joint = VectorField(joint, (Expr.zero(),) * sys.s + tuple(eta))
+    # the time components of each bracket vanish identically (Y has none
+    # and the suspension's are constant), so only state components count
     bracket_comps: List[Expr] = []
     for l in range(sys.s):
         br = lie_bracket(sys.suspension(l), y_joint)
-        bracket_comps.extend(br.components)
+        bracket_comps.extend(br.components[sys.s:])
 
     y_vert = VectorField(sys.vars, eta)
     jet = prolong_first(y_vert, sys.times)
@@ -548,27 +526,15 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
             f_il = Expr.var(jet_var(xv, sys.times[l])) - drift.components[i]
             jet_comps.append(jet.field.apply(f_il).subs(onshell))
 
-    # bracket components on the time directions are structurally zero;
-    # pair them with zero jet entries so the gap list lines up
-    paired: List[Tuple[Expr, Expr]] = []
-    pos = 0
-    for l in range(sys.s):
-        time_part = bracket_comps[pos:pos + sys.s]
-        state_part = bracket_comps[pos + sys.s:pos + sys.s + len(sys.vars)]
-        pos += sys.s + len(sys.vars)
-        for e in time_part:
-            paired.append((e, Expr.zero()))
-        for i, e in enumerate(state_part):
-            paired.append((e, jet_comps[l * len(sys.vars) + i]))
-
+    paired = list(zip(bracket_comps, jet_comps))
     statuses = {e.is_zero() for e, _ in paired}
     gap_statuses = {(e - j).is_zero() for e, j in paired}
     if statuses <= {ZeroStatus.ZERO} and gap_statuses <= {ZeroStatus.ZERO}:
         return PDESymmetryReport(0.0, exact=True, npoints=0,
                                  jet_max_abs=0.0, oracle_gap=0.0)
 
-    pts = time_grid(sys, per_axis) if t_grid is None else np.asarray(t_grid, float)
-    xs = _sample_states(sys, nx, seed)
+    pts = time_grid(sys)
+    xs = _sample_states(sys.default_box(), nx, seed)
     br_fns = [compile_numeric(e, joint) for e, _ in paired]
     jet_fns = [compile_numeric(j, joint) for _, j in paired]
     worst = 0.0
@@ -582,9 +548,9 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
             for bf, jf in zip(br_fns, jet_fns):
                 bv = bf(args)
                 jv = jf(args)
-                worst = max(worst, abs(bv))
-                jet_worst = max(jet_worst, abs(jv))
-                gap = max(gap, abs(bv - jv))
+                worst = max(worst, _magnitude(bv))
+                jet_worst = max(jet_worst, _magnitude(jv))
+                gap = max(gap, _magnitude(bv - jv))
     return PDESymmetryReport(worst, exact=False, npoints=len(pts) * len(xs),
                              jet_max_abs=jet_worst, oracle_gap=gap)
 
@@ -594,52 +560,42 @@ def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
     if cand.r != sys.r:
         raise DimensionMismatch(
             f"{sys.r} basis fields but candidate has {cand.r} channels")
-    joint = sys.times + sys.vars
-    field_fns = [[compile_numeric(c, joint) for c in f.components]
-                 for f in sys.algebra.fields]
-    pair_fns = {k: [compile_numeric(c, joint) for c in v.components]
-                for k, v in _pairwise_brackets(sys.algebra.fields).items()}
+    r, s = sys.r, sys.s
+    kernel = _bracket_kernel(sys.algebra.fields, sys.times + sys.vars)
     b_fns = [[compile_numeric(sys.coeffs[a][l], sys.times)
-              for l in range(sys.s)] for a in range(sys.r)]
-    xs = _sample_states(sys, nx, seed)
-    stride = max(1, len(cand.tpoints) // nt)
-    idx = np.arange(0, len(cand.tpoints), stride)
-    n = len(sys.vars)
+              for l in range(s)] for a in range(r)]
+    xs = _sample_states(sys.default_box(), nx, seed)
+    idx = _thin(len(cand.tpoints), nt)
     worst = 0.0
-    args = np.empty(len(joint))
+    args = np.empty(s + len(sys.vars))
     for k in idx:
         tp = cand.tpoints[k]
         fv = cand.values[k]
         dv = cand.dvalues[k]
         bv = np.array([[fn(tp) for fn in row] for row in b_fns])
+        pairs = [{(a, b): bv[a, l] * fv[b] - bv[b, l] * fv[a]
+                  for a in range(r) for b in range(a + 1, r)}
+                 for l in range(s)]
+        args[:s] = tp
         for x in xs:
-            args[:sys.s] = tp
-            args[sys.s:] = x
-            for l in range(sys.s):
-                resid = np.zeros(n)
-                for a in range(sys.r):
-                    for i in range(n):
-                        resid[i] += dv[a, l] * field_fns[a][i](args)
-                for (a, b), fns in pair_fns.items():
-                    w = bv[a, l] * fv[b] - bv[b, l] * fv[a]
-                    if w:
-                        for i in range(n):
-                            resid[i] += w * fns[i](args)
-                worst = max(worst, float(np.max(np.abs(resid))))
+            args[s:] = x
+            for l in range(s):
+                worst = max(worst, kernel(dv[:, l], pairs[l], args))
     return PDESymmetryReport(worst, exact=False, npoints=len(idx) * len(xs))
 
 
 def pde_symmetry_residual(candidate: CandidateLike, sys: PDELieSystem,
-                          t_grid: Optional[np.ndarray] = None,
-                          per_axis: int = 5, nt: int = 25, nx: int = 20,
+                          nt: int = 25, nx: int = 20,
                           seed: int = 0) -> PDESymmetryReport:
     """Residual of [d/dt_l + X_l, Y] over all directions, worst entry.
 
     Closed-form candidates (coefficient tuples, vertical fields, or
     PDESymmetryCandidate.closed) are checked symbolically first and
-    cross-checked against the jet-prolongation oracle; sampled
-    candidates are checked pointwise through honest pairwise brackets,
-    with the claimed partial derivatives feeding the linear part.
+    cross-checked against the jet-prolongation oracle on the dense time
+    lattice; sampled candidates are checked pointwise through honest
+    pairwise brackets, with the claimed partial derivatives feeding the
+    linear part.  A non-finite residual reports inf, and a sampled check
+    over no points raises GridEmpty.
     """
     if isinstance(candidate, PDESymmetryCandidate):
         if candidate.times != sys.times:
@@ -651,4 +607,4 @@ def pde_symmetry_residual(candidate: CandidateLike, sys: PDELieSystem,
         eta = _vertical_components(candidate.f_exprs, sys)
     else:
         eta = _vertical_components(candidate, sys)
-    return _closed_residual(eta, sys, t_grid, per_axis, nx, seed)
+    return _closed_residual(eta, sys, nx, seed)

@@ -95,7 +95,3 @@ def invert(a: Sequence[Sequence]) -> Optional[Matrix]:
         return None
     return [row[n:] for row in m[:n]]
 
-
-def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]

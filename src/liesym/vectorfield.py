@@ -120,18 +120,14 @@ class JetVectorField:
     """First prolongation of a vertical field to first-order jet space.
 
     `field` lives on base coordinates followed by jet coordinates; time
-    symbols appear only inside components.  Projecting out the jet
-    components recovers the base field.
+    symbols appear only inside components; its leading components are
+    those of `base`.
     """
 
     times: Tuple[str, ...]
     base: VectorField
     field: VectorField
     jet_vars: Tuple[Tuple[str, ...], ...]
-
-    def project(self) -> VectorField:
-        n = len(self.base.vars)
-        return VectorField(self.field.vars[:n], self.field.components[:n])
 
 
 def prolong_first(field: VectorField, times: Iterable[str]) -> JetVectorField:

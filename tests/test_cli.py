@@ -116,6 +116,16 @@ def test_symmetrize_usage_errors(tmp_path):
     assert run_cli("symmetrize", "--input", pde_doc)[0] == EXIT_USAGE
 
 
+def test_opaque_profile_without_value_is_usage(tmp_path, capsys):
+    for cmd in (("symmetrize", "--catalog", "riccati"),
+                ("integrate", "--catalog", "sl2_generic")):
+        capsys.readouterr()
+        code, _ = run_cli(*cmd, "--out", str(tmp_path / "o.csv"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, cmd
+        assert err.startswith("liesym: error: ") and err.count("\n") == 1, err
+
+
 def test_symmetrize_gauge_override(tmp_path):
     code, out = run_cli("symmetrize", "--catalog", "dbh", "--b0", "2",
                         "--f-init", "1,1,1,1", "--out",

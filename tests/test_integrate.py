@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from liesym.errors import PoleEncountered, StepNotPositive
-from liesym.integrate import (
-    cumulative_simpson,
-    hermite_interpolant,
-    rk4_solve,
-)
+from liesym.integrate import cumulative_simpson, rk4_solve
 
 
 def test_rk4_exponential():
@@ -86,20 +82,3 @@ def test_cumulative_simpson_sine():
     ts = step * np.arange(1001)
     out = cumulative_simpson(np.sin(ts), step)
     assert np.max(np.abs(out - (1 - np.cos(ts)))) < 1e-10
-
-
-def test_hermite_interpolant_accuracy():
-    ts = np.linspace(0, 1, 21)
-    fn = hermite_interpolant(ts, np.sin(ts), np.cos(ts))
-    samples = np.linspace(0.01, 0.99, 37)
-    worst = max(abs(fn(t) - math.sin(t)) for t in samples)
-    assert worst < 5e-7  # cubic Hermite on h = 0.05
-
-
-def test_hermite_reproduces_cubics():
-    ts = np.array([0.0, 0.5, 1.0])
-    vals = ts ** 3 - ts
-    ders = 3 * ts ** 2 - 1
-    fn = hermite_interpolant(ts, vals, ders)
-    for t in (0.1, 0.3, 0.7, 0.9):
-        assert abs(fn(t) - (t ** 3 - t)) < 1e-14

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liesym.errors import DependentInitialConditions, DimensionMismatch
+from liesym import make
+from liesym.errors import DependentInitialConditions, DimensionMismatch, GridEmpty
 from liesym.expr import Expr, OpaqueFunction, ZeroStatus
 from liesym.liealg import LieAlgebraBasis, StructureTensor
 from liesym.liesys import (
@@ -25,6 +26,7 @@ from liesym.liesys import (
     symmetry_system_basis,
     vertical_symmetry_dimension,
 )
+from liesym.pdesys import PDELieSystem, build_pde_symmetry_system
 from liesym.vectorfield import VectorField, lie_bracket
 
 
@@ -539,3 +541,73 @@ def test_candidate_shape_checks():
     short = SymmetryCandidate.closed([0, 0, 0])
     with pytest.raises(DimensionMismatch):
         symmetry_residual(short, sys)
+
+
+# -- sampling edge cases and input checks ----------------------------------------
+
+
+def test_non_finite_sampled_candidate_reports_inf():
+    sys = dbh_system()
+    ts = np.linspace(0.0, 1.0, 20)
+    nan = np.full((20, 4), np.nan)
+    report = symmetry_residual(SymmetryCandidate.sampled(ts, nan, nan), sys,
+                               nt=20, nx=5)
+    assert report.max_abs == np.inf
+
+
+def test_symmetry_algebra_f0_zero_rejects_empty_grids():
+    sys = LieSystem(LieAlgebraBasis(sl2_line_fields()), (Expr.var("t"), 0, 1))
+    with pytest.raises(GridEmpty):
+        symmetry_algebra_f0_zero(sys, step=1e-2, nx=0)
+    with pytest.raises(GridEmpty):
+        symmetry_algebra_f0_zero(sys, step=1e-2, n_sample_times=0)
+
+
+def test_state_box_must_cover_every_state_coordinate():
+    algebra = LieAlgebraBasis(sl2_line_fields())
+    with pytest.raises(DimensionMismatch):
+        LieSystem(algebra, (Expr.var("t"), 0, 1),
+                  state_box=((0.0, 1.0), (0.0, 1.0)))
+
+
+def test_candidate_bracket_rejects_grids_of_different_length():
+    tensor = sl2_tensor()
+    short, long = (SymmetryCandidate.sampled(np.linspace(0, 1, m),
+                                             np.zeros((m, 4)), np.zeros((m, 4)))
+                   for m in (5, 6))
+    with pytest.raises(DimensionMismatch):
+        candidate_bracket(short, long, tensor,
+                          d2values=(np.zeros((5, 4)), np.zeros((6, 4))))
+
+
+def _central_system():
+    # X = (d/dx, d/dy, x d/dy): [X1, X3] = X2 spans the center
+    x = Expr.var("x")
+    fields = [VectorField(("x", "y"), (1, 0)), VectorField(("x", "y"), (0, 1)),
+              VectorField(("x", "y"), (0, x))]
+    t = Expr.var("t")
+    return LieSystem(LieAlgebraBasis(fields), (1, t, t * t))
+
+
+@pytest.mark.parametrize("source", ["riccati", "aff_generic", "central"])
+def test_single_time_is_the_one_time_case(source):
+    if source == "central":
+        sys = _central_system()
+    elif source == "riccati":
+        sys = make("riccati", eta="t").system
+    else:
+        sys = make("aff_generic", a="t", b="t^2").system
+    r = sys.r
+    built = build_symmetry_system(sys).system
+    one_time = PDELieSystem(sys.algebra, tuple((b,) for b in sys.coeffs),
+                            times=(sys.time,))
+    built_pde = build_pde_symmetry_system(one_time).system
+    y_fields = built.algebra.fields[2 * r + 1:]
+    y_coeffs = built.coeffs[2 * r + 1:]
+    assert len(y_fields) == built_pde.r
+    if source == "central":
+        assert built_pde.r == 2
+    for y, y_pde in zip(y_fields, built_pde.algebra.fields):
+        assert y.components[0].is_zero() is ZeroStatus.ZERO
+        assert VectorField(y.vars[1:], y.components[1:]) == y_pde
+    assert tuple((c,) for c in y_coeffs) == built_pde.coeffs

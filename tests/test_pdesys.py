@@ -7,6 +7,7 @@ from liesym import (
     BadParams,
     DimensionMismatch,
     Expr,
+    GridEmpty,
     LieAlgebraBasis,
     LieSystem,
     MissingDerivative,
@@ -385,3 +386,45 @@ def test_candidate_shape_validation():
     three = PDESymmetryCandidate.closed((0, 0, 0), times=("t1", "t3"))
     with pytest.raises(DimensionMismatch):
         pde_symmetry_residual(three, sys2)
+
+
+def test_non_finite_sampled_candidate_reports_inf():
+    sys2 = shared_profile_system(line_sl2_fields(), riccati_profiles())
+    tpoints = np.column_stack([np.linspace(0, 1, 5), np.linspace(0, 1, 5)])
+    cand = PDESymmetryCandidate.sampled(tpoints, np.full((5, 3), np.nan),
+                                        np.full((5, 3, 2), np.nan))
+    assert pde_symmetry_residual(cand, sys2, nx=4).max_abs == np.inf
+
+
+def test_non_finite_curvature_reports_inf():
+    nan = lambda u: float("nan")  # noqa: E731
+    mu = OpaqueFunction("mu", evaluator=nan,
+                        derivative=OpaqueFunction("mu'", evaluator=nan))
+    rows = ((Expr.zero(), Expr.opaque(mu, "t1")),
+            (Expr.zero(), Expr.zero()),
+            (Expr.one(), Expr.zero()))
+    sys2 = PDELieSystem(LieAlgebraBasis(line_sl2_fields()), rows)
+    assert curvature_residual(sys2).max_abs == np.inf
+    with pytest.raises(NotIntegrable):
+        build_pde_symmetry_system(sys2)
+
+
+def test_empty_grids_raise():
+    sys2 = shared_profile_system(line_sl2_fields(), riccati_profiles())
+    with pytest.raises(GridEmpty):
+        pde_symmetry_residual((1, 0, 0), sys2, nx=0)
+    built = build_pde_symmetry_system(sys2)
+    path = TimePath(((0.0, 0.0), (1.0, 1.0)), steps=20)
+    traj = integrate_along_path(built.system, [1.0, 0.5, -0.25], path)
+    cand = pde_candidate_from_path(built, traj, path)
+    with pytest.raises(GridEmpty):
+        pde_symmetry_residual(cand, sys2, nx=0)
+    with pytest.raises(GridEmpty):
+        pde_symmetry_residual(cand, sys2, nt=0)
+
+
+def test_state_box_must_cover_every_state_coordinate():
+    rows = ((T1, T2), (Expr.zero(), Expr.zero()), (Expr.one(), Expr.one()))
+    with pytest.raises(DimensionMismatch):
+        PDELieSystem(LieAlgebraBasis(line_sl2_fields()), rows,
+                     state_box=((0.0, 1.0), (0.0, 1.0)))
