@@ -28,9 +28,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .catalog import CatalogEntry, make, names
+from .catalog import make, names
 from .errors import (
     BadParams,
     DependentBasis,
@@ -44,7 +42,7 @@ from .errors import (
     UnboundSymbol,
     UnknownName,
 )
-from .expr import Expr, OpaqueFunction, parse
+from .expr import OpaqueFunction, parse
 from .liealg import LieAlgebraBasis, center, extract_structure_constants, \
     jacobi_residual
 from .liesys import (

@@ -218,7 +218,7 @@ def _p_atoms(p: Poly) -> set:
     return out
 
 
-def _univariate_coeffs(p: Poly, atom: Atom) -> list:
+def _univariate_coeffs(p: Poly) -> list:
     deg = 0
     for m in p:
         if m:
@@ -531,7 +531,7 @@ def _reduce(num: Poly, den: Poly):
     atoms = _p_atoms(num) | _p_atoms(den)
     if len(atoms) == 1:
         atom = next(iter(atoms))
-        g = _uni_gcd(_univariate_coeffs(num, atom), _univariate_coeffs(den, atom))
+        g = _uni_gcd(_univariate_coeffs(num), _univariate_coeffs(den))
         if len(g) > 1:
             gp = _poly_from_univariate(g, atom)
             num, _ = _p_divmod(num, gp)
@@ -601,7 +601,7 @@ def _as_bare_symbol(e: Expr) -> Optional[str]:
     return atom.name
 
 
-def _atom_value(atom: Atom, point: Mapping[str, float], exact: bool):
+def _atom_value(atom: Atom, point: Mapping[str, float]):
     if atom.kind == Atom.VAR:
         if atom.name not in point:
             raise UnboundSymbol(f"no value bound for {atom.name}")
@@ -618,7 +618,7 @@ def _p_eval(p: Poly, point: Mapping[str, float], exact: bool):
     for m, c in p.items():
         term = c if exact else float(c)
         for atom, e in m:
-            v = _atom_value(atom, point, exact)
+            v = _atom_value(atom, point)
             term = term * (v ** e)
         total = total + term
     return total
@@ -666,7 +666,7 @@ def _p_eval_with_shim(p: Poly, point, shim):
             if atom in shim:
                 v = shim[atom]
             else:
-                v = _atom_value(atom, point, False)
+                v = _atom_value(atom, point)
             term *= v ** e
         total += term
     return total

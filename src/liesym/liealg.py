@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rlinalg
 from .errors import DependentBasis, NotClosed
-from .expr import Expr, OpaqueNoEvaluator, UnboundSymbol, compile_numeric
+from .expr import Expr, OpaqueNoEvaluator, UnboundSymbol
 from .vectorfield import VectorField, lie_bracket
 
 Triple = Tuple[int, int, int]
@@ -59,6 +59,18 @@ class StructureTensor:
             return self.data.get((a, b, g), Fraction(0))
         return -self.data.get((b, a, g), Fraction(0))
 
+    def bracket(self, u: Sequence, v: Sequence) -> list:
+        """[u, v]_g = sum_{a,b} u_a v_b c[a][b][g] for coefficient vectors.
+
+        Entries may be Fractions, Exprs or floats; stored constants are
+        visited in sorted key order, so the result is deterministic, and a
+        component that no constant reaches is the integer 0.
+        """
+        w = [0] * self.r
+        for (a, b, g), c in sorted(self.data.items()):
+            w[g] = w[g] + c * (u[a] * v[b] - u[b] * v[a])
+        return w
+
     def __eq__(self, other):
         return (isinstance(other, StructureTensor)
                 and self.r == other.r and self.data == other.data)
@@ -87,18 +99,15 @@ class StructureTensor:
 def jacobi_residual(tensor: StructureTensor) -> Fraction:
     """Max abs of the Jacobi sums; exactly zero for a Lie algebra."""
     r = tensor.r
+    e = np.eye(r, dtype=int).tolist()
+    br = tensor.bracket
     worst = Fraction(0)
     for a in range(r):
         for b in range(a + 1, r):
             for g in range(b + 1, r):
-                for tau in range(r):
-                    s = sum(
-                        (tensor.c(a, b, m) * tensor.c(m, g, tau)
-                         + tensor.c(b, g, m) * tensor.c(m, a, tau)
-                         + tensor.c(g, a, m) * tensor.c(m, b, tau)
-                         for m in range(r)),
-                        Fraction(0))
-                    worst = max(worst, abs(s))
+                sums = zip(br(br(e[a], e[b]), e[g]), br(br(e[b], e[g]), e[a]),
+                           br(br(e[g], e[a]), e[b]))
+                worst = max([worst] + [abs(x + y + z) for x, y, z in sums])
     return worst
 
 
@@ -122,20 +131,9 @@ def transform_tensor(tensor: StructureTensor, a_matrix) -> StructureTensor:
     out = StructureTensor(r)
     for al in range(r):
         for be in range(al + 1, r):
+            old = tensor.bracket(a[al], a[be])
             for mu in range(r):
-                total = Fraction(0)
-                for g in range(r):
-                    if not a[al][g]:
-                        continue
-                    for d in range(r):
-                        if not a[be][d]:
-                            continue
-                        for e in range(r):
-                            ce = tensor.c(g, d, e)
-                            if ce:
-                                total += a[al][g] * a[be][d] * ce * inv[e][mu]
-                if total:
-                    out.set(al, be, mu, total)
+                out.set(al, be, mu, sum(old[e] * inv[e][mu] for e in range(r)))
     return out
 
 

@@ -10,6 +10,11 @@ Lie system on the coefficient space (f0, f1, ..., fr):
     df0/dt = b0
     dfa/dt = f0 b_a' + b_a b0 + sum_{b,g} b_b f_g c_{gba}
 
+The sum is the Lie bracket of coefficient vectors,
+[u, v]_g = sum_{a,b} u_a v_b c_{abg} (StructureTensor.bracket), so
+df/dt = f0 b' + b0 b + [f, b]: the vertical generators are Y_a = [f, e_a]
+and the f0 = 0 reduced flow is df/dt = [f, b(t)].
+
 build_symmetry_system constructs that system from the structure tensor;
 symmetry_residual re-checks any candidate through honest vector-field
 brackets that never touch the builder's formula.
@@ -116,7 +121,7 @@ def integrate(sys: LieSystem, x0: Sequence[float],
 
 def _y_generators(tensor: StructureTensor,
                  names: Tuple[str, ...]) -> List[VectorField]:
-    """Y_a = sum_{b,g} f_b c_{bag} d/df_g for a = 1..r.
+    """Y_a = [f, e_a] = sum_{b,g} f_b c_{bag} d/df_g for a = 1..r.
 
     The last r names are f1..fr; a leading f0 coordinate, as in the
     single-time symmetry system, gets zero components.
@@ -124,16 +129,8 @@ def _y_generators(tensor: StructureTensor,
     r = tensor.r
     lead = len(names) - r
     fs = [Expr.var(v) for v in names[lead:]]
-    y_fields = []
-    for a in range(r):
-        comps = [Expr.zero()] * len(names)
-        for b in range(r):
-            for g in range(r):
-                c = tensor.c(b, a, g)
-                if c:
-                    comps[lead + g] = comps[lead + g] + Expr.const(c) * fs[b]
-        y_fields.append(VectorField(names, comps))
-    return y_fields
+    return [VectorField(names, [0] * lead + tensor.bracket(fs, unit))
+            for unit in np.eye(r, dtype=int).tolist()]
 
 
 def _fold_generators(y_fields: Sequence[VectorField],
@@ -487,8 +484,13 @@ class TransportReport:
 
 def flow_transport_check(candidate: SymmetryCandidate, sys: LieSystem,
                          traj: Trajectory, eps: float = 1e-3) -> TransportReport:
-    defect_eps = _transport_defect(candidate, sys, traj, eps)
-    defect_half = _transport_defect(candidate, sys, traj, eps / 2)
+    """Transport defects at eps and eps/2, classified by their ratio.
+
+    A non-finite defect reads as inf, so it is never exact or second order.
+    """
+    moves = _transport_moves(candidate, sys, traj)
+    defect_eps = _transport_defect(moves, sys, eps)
+    defect_half = _transport_defect(moves, sys, eps / 2)
     if defect_eps < 1e-13 and defect_half < 1e-13:
         return TransportReport(math.nan, defect_eps, defect_half, eps, "exact")
     ratio = defect_eps / defect_half if defect_half else math.inf
@@ -501,27 +503,29 @@ def flow_transport_check(candidate: SymmetryCandidate, sys: LieSystem,
     return TransportReport(ratio, defect_eps, defect_half, eps, cls)
 
 
-def _transport_defect(candidate: SymmetryCandidate, sys: LieSystem,
-                      traj: Trajectory, eps: float) -> float:
-    t = sys.time
+def _transport_moves(candidate: SymmetryCandidate, sys: LieSystem,
+                     traj: Trajectory):
+    """The drift kernels and, per trajectory point, what transport needs.
+
+    Each row is (t, x, f0, f0', x', u, u'): u = sum_a f_a X_a(x) is the
+    state part of the candidate and u' its derivative along the solution.
+    Nothing here depends on eps, so both defects share one compilation.
+    """
     n = len(sys.vars)
     r = sys.r
     ts = traj.ts
     vals, dvals = candidate.channels_at(ts)
 
-    order = (t,) + sys.vars
-    drift = sys.drift_field()
-    drift_fns = drift.compiled(order)
+    drift_fns = sys.drift_field().compiled((sys.time,) + sys.vars)
     basis_fns = [f.compiled(sys.vars) for f in sys.algebra.fields]
     jac_fns = [[[compile_numeric(f.components[i].diff(v), sys.vars)
                  for v in sys.vars] for i in range(n)]
                for f in sys.algebra.fields]
 
-    worst = 0.0
+    rows = []
     for k, tk in enumerate(ts):
         s = traj.states[k]
-        f0v, fv = vals[k][0], vals[k][1:]
-        df0v, dfv = dvals[k][0], dvals[k][1:]
+        fv, dfv = vals[k][1:], dvals[k][1:]
         args = np.concatenate(([tk], s))
         sdot = np.array([fn(args) for fn in drift_fns])
         xa = [np.array([basis_fns[a][i](s) for i in range(n)]) for a in range(r)]
@@ -532,6 +536,14 @@ def _transport_defect(candidate: SymmetryCandidate, sys: LieSystem,
             jac = np.array([[jac_fns[a][i][j](s) for j in range(n)]
                             for i in range(n)])
             du += fv[a] * (jac @ sdot)
+        rows.append((tk, s, vals[k][0], dvals[k][0], sdot, u, du))
+    return drift_fns, rows
+
+
+def _transport_defect(moves, sys: LieSystem, eps: float) -> float:
+    drift_fns, rows = moves
+    worst = 0.0
+    for tk, s, f0v, df0v, sdot, u, du in rows:
         t_new = tk + eps * f0v
         z_new = s + eps * u
         dt_dt = 1.0 + eps * df0v
@@ -543,7 +555,7 @@ def _transport_defect(candidate: SymmetryCandidate, sys: LieSystem,
         args_new = np.concatenate(([t_new], z_new))
         x_new = np.array([fn(args_new) for fn in drift_fns])
         defect = np.max(np.abs(dz_dt / dt_dt - x_new))
-        worst = max(worst, float(defect))
+        worst = max(worst, _magnitude(float(defect)))
     return worst
 
 
@@ -563,22 +575,16 @@ def candidate_bracket(y1: SymmetryCandidate, y2: SymmetryCandidate,
     """Bracket of two candidates on the same system.
 
     Closed form: new f0 = {f0, f0*}, new f_g = (f0 f_g*' - f0* f_g')
-    + sum_{a,b} f_a f_b* c_{abg}.  Sampled candidates need second
-    derivative channels to produce the new derivative channel.
+    + [f, f*]_g, the structure-constant bracket of the coefficient
+    vectors.  Sampled candidates need second derivative channels to
+    produce the new derivative channel.
     """
     t = y1.time
-    r = tensor.r
     if y1.is_closed_form and y2.is_closed_form:
         f, g = y1.f_exprs, y2.f_exprs
         new = [function_bracket(f[0], g[0], t)]
-        for gm in range(r):
-            e = f[0] * g[gm + 1].diff(t) - g[0] * f[gm + 1].diff(t)
-            for a in range(r):
-                for b in range(r):
-                    c = tensor.c(a, b, gm)
-                    if c:
-                        e = e + Expr.const(c) * f[a + 1] * g[b + 1]
-            new.append(e)
+        for gm, w in enumerate(tensor.bracket(f[1:], g[1:])):
+            new.append(f[0] * g[gm + 1].diff(t) - g[0] * f[gm + 1].diff(t) + w)
         return SymmetryCandidate.closed(new, time=t)
     if y1.is_closed_form or y2.is_closed_form:
         raise DimensionMismatch("mixing closed and sampled candidates")
@@ -590,32 +596,21 @@ def candidate_bracket(y1: SymmetryCandidate, y2: SymmetryCandidate,
     v1, d1 = y1.values, y1.dvalues
     v2, d2 = y2.values, y2.dvalues
     dd1, dd2 = d2values
-    m = len(y1.grid)
-    vals = np.zeros((m, r + 1))
-    dvals = np.zeros((m, r + 1))
-    vals[:, 0] = v1[:, 0] * d2[:, 0] - v2[:, 0] * d1[:, 0]
-    dvals[:, 0] = v1[:, 0] * dd2[:, 0] - v2[:, 0] * dd1[:, 0]
-    for gm in range(r):
-        j = gm + 1
-        vals[:, j] = v1[:, 0] * d2[:, j] - v2[:, 0] * d1[:, j]
-        dvals[:, j] = (d1[:, 0] * d2[:, j] + v1[:, 0] * dd2[:, j]
-                       - d2[:, 0] * d1[:, j] - v2[:, 0] * dd1[:, j])
-        for a in range(r):
-            for b in range(r):
-                c = tensor.c(a, b, gm)
-                if c:
-                    cf = float(c)
-                    vals[:, j] += cf * v1[:, a + 1] * v2[:, b + 1]
-                    dvals[:, j] += cf * (d1[:, a + 1] * v2[:, b + 1]
-                                         + v1[:, a + 1] * d2[:, b + 1])
+    vals = v1[:, :1] * d2 - v2[:, :1] * d1
+    dvals = (d1[:, :1] * d2 + v1[:, :1] * dd2
+             - d2[:, :1] * d1 - v2[:, :1] * dd1)
+    br = tensor.bracket
+    for k in range(len(y1.grid)):
+        vals[k, 1:] += br(v1[k, 1:], v2[k, 1:])
+        dvals[k, 1:] += np.add(br(d1[k, 1:], v2[k, 1:]), br(v1[k, 1:], d2[k, 1:]))
     return SymmetryCandidate.sampled(y1.grid, vals, dvals, time=t)
 
 
 def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
                             time: str = "t",
                             aux: Optional[Tuple[str, Expr]] = None,
-                            t_samples: Optional[np.ndarray] = None,
-                            seed: int = 0) -> ResidualReport:
+                            t_samples: Optional[np.ndarray] = None
+                            ) -> ResidualReport:
     """Residual of the third-order reduction of the Riccati symmetry system:
 
         f3''' = f0''' + 4 b0 eta + 2 eta' f0 - 2 eta' f3 - 4 eta f3'
@@ -647,8 +642,9 @@ def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
         return ResidualReport(0.0, exact=True)
     if t_samples is None:
         t_samples = np.linspace(0.1, 1.0, 19)
+    _need_points(len(t_samples))
     fn = compile_numeric(resid, [var])
-    worst = max(abs(fn([tv])) for tv in t_samples)
+    worst = max(_magnitude(fn([tv])) for tv in t_samples)
     return ResidualReport(float(worst), exact=False, npoints=len(t_samples))
 
 
@@ -717,7 +713,7 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
                              seed: int = 0,
                              inits: Optional[np.ndarray] = None
                              ) -> VerticalFamilyReport:
-    """Integrate the reduced system df_a/dt = sum b_b f_g c_{gba} from a
+    """Integrate the reduced system df/dt = [f, b(t)] from a
     fundamental set of initial vectors and verify numerically that the
     resulting t-dependent fields close with the structure constants of
     the algebra (the isomorphism given by evaluation at the start time).
@@ -737,19 +733,8 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     b_fns = [compile_numeric(b, [t]) for b in sys.coeffs]
 
     def rhs(tv, f):
-        bv = [fn([tv]) for fn in b_fns]
-        out = np.zeros(r)
-        for al in range(r):
-            acc = 0.0
-            for be in range(r):
-                if not bv[be]:
-                    continue
-                for de in range(r):
-                    c = tensor.c(de, be, al)
-                    if c:
-                        acc += bv[be] * f[de] * float(c)
-            out[al] = acc
-        return out
+        return np.array(tensor.bracket(f, [fn([tv]) for fn in b_fns]),
+                        dtype=float)
 
     names = tuple(f"f{i + 1}" for i in range(r))
     trajs = [rk4_solve(rhs, inits[i], t_span, step, varnames=names)
@@ -758,19 +743,16 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     kernel = _bracket_kernel(sys.algebra.fields, sys.vars)
     m = len(trajs[0].ts)
     sample_idx = np.linspace(0, m - 1, n_sample_times).astype(int)
+    units = np.eye(r, dtype=int).tolist()
 
     worst = 0.0
     for idx in sample_idx:
-        fvecs = [traj.states[idx] for traj in trajs]
+        fvecs = np.array([traj.states[idx] for traj in trajs])
         for i in range(r):
             for j in range(i + 1, r):
                 # [Y_i, Y_j] - sum_g c_ijg Y_g with Y_i = sum_a fvecs[i][a] X_a
-                lin = [0.0] * r
-                for g in range(r):
-                    c = tensor.c(i, j, g)
-                    if c:
-                        for al in range(r):
-                            lin[al] -= float(c) * fvecs[g][al]
+                lin = -np.array(tensor.bracket(units[i], units[j]),
+                                dtype=float) @ fvecs
                 pair = {(a, b): fvecs[i][a] * fvecs[j][b] - fvecs[i][b] * fvecs[j][a]
                         for a in range(r) for b in range(a + 1, r)}
                 for x in xs:

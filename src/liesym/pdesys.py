@@ -10,13 +10,17 @@ zero-curvature condition
 
     d(b_gk)/dt_l - d(b_gl)/dt_k + sum_{a,b} b_al b_bk c_abg = 0
 
-holds for every field index g and every time pair k < l.  A vertical
-field Y = sum_a f_a(t) X_a is a symmetry of the system precisely when
-it commutes with each one-direction suspension d/dt_l + X_l; expanding
-those brackets in the basis turns the condition into another multi-time
-system on the coefficients,
+holds for every field index g and every time pair k < l.  With b_l the
+coefficient column of direction l and [u, v]_g = sum_{a,b} u_a v_b c_abg
+the bracket of coefficient vectors (StructureTensor.bracket), it reads
+d_l b_k - d_k b_l + [b_l, b_k] = 0.
 
-    df_p/dt_l = sum_{a,d} b[a][l] f_d c_dap,
+A vertical field Y = sum_a f_a(t) X_a is a symmetry of the system
+precisely when it commutes with each one-direction suspension
+d/dt_l + X_l; expanding those brackets in the basis turns the condition
+into another multi-time system on the coefficients,
+
+    df_p/dt_l = sum_{a,d} b[a][l] f_d c_dap,   i.e.   df/dt_l = [f, b_l],
 
 which build_pde_symmetry_system constructs and whose own curvature it
 re-checks rather than assumes.  pde_symmetry_residual verifies
@@ -209,12 +213,14 @@ class CurvatureReport:
 
 
 def curvature_exprs(sys: PDELieSystem) -> Dict[Tuple[int, int, int], Expr]:
-    """Entries d(b_gk)/dt_l - d(b_gl)/dt_k + sum b_al b_bk c_abg, k < l."""
+    """Entries d(b_gk)/dt_l - d(b_gl)/dt_k + [b_l, b_k]_g, k < l."""
     tensor = sys.algebra.tensor
     r, s = sys.r, sys.s
     out: Dict[Tuple[int, int, int], Expr] = {}
+    cols = list(zip(*sys.coeffs))
     for k in range(s):
         for l in range(k + 1, s):
+            brk = tensor.bracket(cols[l], cols[k])
             for g in range(r):
                 try:
                     e = (sys.coeffs[g][k].diff(sys.times[l])
@@ -223,12 +229,7 @@ def curvature_exprs(sys: PDELieSystem) -> Dict[Tuple[int, int, int], Expr]:
                     raise MissingDerivative(
                         f"coefficient b[{g}] is not differentiable: {exc}"
                     ) from exc
-                for a in range(r):
-                    for b in range(r):
-                        c = tensor.c(a, b, g)
-                        if c:
-                            e = e + Expr.const(c) * sys.coeffs[a][l] * sys.coeffs[b][k]
-                out[(g, k, l)] = e
+                out[(g, k, l)] = e + brk[g]
     return out
 
 

@@ -4,9 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from liesym import DependentBasis, Expr, NotClosed, OpaqueFunction
+from liesym import DependentBasis, Expr, NotClosed, OpaqueFunction, make, names
 from liesym.liealg import (
     LieAlgebraBasis,
     StructureTensor,
@@ -166,3 +169,69 @@ def test_basis_wrapper():
     assert basis.jacobi_residual() == 0
     assert basis.center() == []
     assert basis.vars == ("x",)
+
+
+# -- the bracket of coefficient vectors ---------------------------------------
+
+CATALOG_TENSORS = {n: make(n).expected for n in names()}
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def tensor_and_vectors(draw, count):
+    """A catalog tensor, possibly in a random new basis, and rational vectors."""
+    tensor = CATALOG_TENSORS[draw(st.sampled_from(sorted(CATALOG_TENSORS)))]
+    r = tensor.r
+    if draw(st.booleans()):
+        row = st.lists(st.integers(min_value=-2, max_value=2),
+                       min_size=r, max_size=r)
+        try:
+            tensor = transform_tensor(
+                tensor, draw(st.lists(row, min_size=r, max_size=r)))
+        except DependentBasis:
+            assume(False)
+    vectors = [draw(st.lists(_rationals, min_size=r, max_size=r))
+               for _ in range(count)]
+    return tensor, vectors
+
+
+def brute_bracket(tensor, u, v):
+    r = tensor.r
+    return [sum((u[a] * v[b] * tensor.c(a, b, g)
+                 for a in range(r) for b in range(r)), 0)
+            for g in range(r)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_and_vectors(2))
+def test_bracket_matches_brute_force(case):
+    tensor, (u, v) = case
+    assert tensor.bracket(u, v) == brute_bracket(tensor, u, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_and_vectors(2))
+def test_bracket_is_antisymmetric(case):
+    tensor, (u, v) = case
+    assert tensor.bracket(u, v) == [-w for w in tensor.bracket(v, u)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_and_vectors(3))
+def test_bracket_satisfies_jacobi(case):
+    tensor, (u, v, w) = case
+    br = tensor.bracket
+    cyclic = zip(br(br(u, v), w), br(br(v, w), u), br(br(w, u), v))
+    assert [x + y + z for x, y, z in cyclic] == [0] * tensor.r
+
+
+def test_bracket_on_expr_and_float_entries():
+    tensor = CATALOG_TENSORS["painleve_ince"]
+    r = tensor.r
+    u = [Expr.var(f"u{i}") for i in range(r)]
+    v = [Expr.var(f"v{i}") for i in range(r)]
+    assert tensor.bracket(u, v) == brute_bracket(tensor, u, v)
+    rng = np.random.default_rng(5)
+    uf, vf = rng.normal(size=r), rng.normal(size=r)
+    assert tensor.bracket(uf, vf) == pytest.approx(
+        brute_bracket(tensor, uf, vf), abs=1e-12)

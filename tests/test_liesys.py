@@ -1,6 +1,7 @@
 """Symmetry-system construction checked against hand-derived right-hand
 sides, closed-form symmetry families, and the bracket oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -426,6 +427,33 @@ def test_flow_transport_zero_candidate():
     assert report.classification == "exact"
 
 
+def test_flow_transport_nan_derivatives_are_never_exact():
+    # a NaN that dropped out of the running max would leave both defects
+    # at 0.0 and classify the candidate as exact
+    sys, cand, traj = dbh_transport_setup()
+    vals, _ = cand.channels_at(traj.ts)
+    blind = SymmetryCandidate.sampled(traj.ts, vals, np.full_like(vals, np.nan))
+    report = flow_transport_check(blind, sys, traj)
+    assert report.defect_eps == report.defect_half == math.inf
+    assert report.classification not in ("exact", "second_order")
+
+
+def test_flow_transport_compiles_each_kernel_once(monkeypatch):
+    import liesym.liesys
+    import liesym.vectorfield
+
+    sys, cand, traj = dbh_transport_setup()
+    calls = []
+    for module in (liesym.liesys, liesym.vectorfield):
+        real = module.compile_numeric
+        monkeypatch.setattr(module, "compile_numeric",
+                            lambda e, order, real=real: calls.append(e) or real(e, order))
+    flow_transport_check(cand, sys, traj)
+    n, r = len(sys.vars), sys.r
+    # drift, basis, Jacobian entries, then candidate values and derivatives
+    assert len(calls) == n + r * n + r * n * n + 2 * (r + 1)
+
+
 # -- reduced flow with f0 = 0 -------------------------------------------------
 
 
@@ -524,6 +552,25 @@ def test_riccati_reduction_direct_polynomial():
                                      t_samples=np.linspace(0.0, 1.0, 5))
     assert not report.exact
     assert abs(report.max_abs - 4.0) < 1e-12
+
+
+def test_riccati_reduction_nan_sample_reads_inf():
+    t = Expr.var("t")
+    report = riccati_f3_ode_residual(t, t, t, 0, t_samples=[0.1, math.nan])
+    assert report.max_abs == math.inf
+
+
+def test_riccati_reduction_without_samples_is_grid_empty():
+    t = Expr.var("t")
+    with pytest.raises(GridEmpty):
+        riccati_f3_ode_residual(t, t, t, 0, t_samples=[])
+
+
+def test_riccati_reduction_takes_no_seed():
+    # the residual is deterministic; a seed parameter would promise otherwise
+    t = Expr.var("t")
+    with pytest.raises(TypeError):
+        riccati_f3_ode_residual(t, t, t, 0, seed=0)
 
 
 # -- candidate plumbing ----------------------------------------------------------
