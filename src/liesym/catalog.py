@@ -122,12 +122,11 @@ def _field(coords: Sequence[str], comps: Sequence[str]) -> VectorField:
     return VectorField(tuple(coords), [parse(c, coords) for c in comps])
 
 
-def _drift_rescaling(system: LieSystem, k=1) -> NamedFamily:
-    kc = Expr.const(Fraction(k))
-    f = (kc,) + tuple(kc * b for b in system.coeffs)
+def _drift_rescaling(system: LieSystem) -> NamedFamily:
+    f = (Expr.one(),) + system.coeffs
     return NamedFamily(
         "drift_rescaling", SymmetryCandidate.closed(f, time=system.time),
-        note=f"constant multiple of the time-dependent generator, f0 = {k}")
+        note="constant multiple of the time-dependent generator, f0 = 1")
 
 
 def _gauge_is_zero(system: LieSystem) -> bool:

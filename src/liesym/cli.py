@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -28,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .catalog import make, names
+from .catalog import _FACTORIES, CatalogEntry, make, names
 from .errors import (
     BadParams,
     DependentBasis,
@@ -43,8 +44,7 @@ from .errors import (
     UnknownName,
 )
 from .expr import OpaqueFunction, parse
-from .liealg import LieAlgebraBasis, center, extract_structure_constants, \
-    jacobi_residual
+from .liealg import LieAlgebraBasis, center, jacobi_residual
 from .liesys import (
     LieSystem,
     SymmetryCandidate,
@@ -122,14 +122,15 @@ class RunConfig:
 _OPAQUE_NAME = re.compile(r"@([A-Za-z_][A-Za-z_0-9]*)")
 
 
-def _opaque_registry(texts: Sequence[str], depth: int = 3):
+def _opaque_registry(texts: Sequence[str]):
+    """Each @name in the texts, with a formal derivative chain of depth 3."""
     found = set()
     for s in texts:
         found.update(_OPAQUE_NAME.findall(s))
     registry = {}
     for name in sorted(found):
         link = None
-        for k in range(depth, -1, -1):
+        for k in range(3, -1, -1):
             link = OpaqueFunction(name + "'" * k, derivative=link)
         registry[name] = link
     return registry
@@ -177,10 +178,19 @@ def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
         raise ParseError(f"bad system document: {exc}") from exc
 
 
+def _make_entry(name: str, params: Sequence[Tuple[str, str]]) -> CatalogEntry:
+    """make(name, ...) from --param pairs, splitting a value on commas
+    where the factory's default is a tuple (dbh alpha=1,2,3)."""
+    sig = inspect.signature(_FACTORIES.get(name, make)).parameters
+    tuples = {k for k, p in sig.items() if isinstance(p.default, tuple)}
+    return make(name, **{k: tuple(v.split(",")) if k in tuples else v
+                         for k, v in params})
+
+
 def _resolve_system(cfg: RunConfig):
     """Returns (system, entry-or-None) from --catalog or --input."""
     if cfg.catalog is not None:
-        entry = make(cfg.catalog, **dict(cfg.params))
+        entry = _make_entry(cfg.catalog, cfg.params)
         return entry.system, entry
     if cfg.input is None:
         raise UsageError("give --catalog NAME or --input FILE")
@@ -263,7 +273,7 @@ def _cmd_list(cfg: RunConfig, stdout) -> int:
 
 
 def _cmd_show(cfg: RunConfig, stdout) -> int:
-    entry = make(cfg.name, **dict(cfg.params))
+    entry = _make_entry(cfg.name, cfg.params)
     sysobj = entry.system
     print(f"name: {entry.name}", file=stdout)
     print(f"kind: {entry.kind}", file=stdout)
@@ -298,7 +308,7 @@ def _cmd_show(cfg: RunConfig, stdout) -> int:
 
 def _cmd_check_algebra(cfg: RunConfig, stdout) -> int:
     sysobj, _ = _resolve_system(cfg)
-    tensor, method = extract_structure_constants(sysobj.algebra.fields)
+    tensor, method = sysobj.algebra.tensor, sysobj.algebra.method
     jac = jacobi_residual(tensor)
     cdim = len(center(tensor))
     print(f"closed, r={tensor.r}, jacobi={jac}, center={cdim}", file=stdout)

@@ -11,7 +11,8 @@ them without the normal form ever learning what the function is.
 Two expressions with equal normal forms evaluate identically everywhere.
 Zero testing is exact on the opaque-free fragment (a rational function is
 zero iff its numerator polynomial is zero) and falls back to sampled
-evidence when opaque leaves are present.
+evidence when opaque leaves are present.  compile_numeric lowers the
+expressions a caller evaluates together into one float kernel.
 """
 
 from __future__ import annotations
@@ -624,8 +625,7 @@ def _p_eval(p: Poly, point: Mapping[str, float], exact: bool):
     return total
 
 
-def zero_report(e: Expr, seed: int = 0, samples: int = 32,
-                low: float = -2.0, high: float = 2.0) -> ZeroReport:
+def zero_report(e: Expr, seed: int = 0) -> ZeroReport:
     """Zero decision plus sampled evidence for the Unknown case.
 
     Opaque leaves with evaluators are evaluated; leaves without are given
@@ -641,10 +641,10 @@ def zero_report(e: Expr, seed: int = 0, samples: int = 32,
     bare = {a for a in _p_atoms(e.num) | _p_atoms(e.den)
             if a.kind == Atom.OPAQUE and a.func.evaluator is None}
     attempts = 0
-    while len(evidence) < samples and attempts < samples * 8:
+    while len(evidence) < 32 and attempts < 32 * 8:
         attempts += 1
-        point = {s: rng.uniform(low, high) for s in symbols}
-        shim = {a: rng.uniform(low, high) for a in bare}
+        point = {s: rng.uniform(-2.0, 2.0) for s in symbols}
+        shim = {a: rng.uniform(-2.0, 2.0) for a in bare}
         try:
             n = _p_eval_with_shim(e.num, point, shim)
             d = _p_eval_with_shim(e.den, point, shim)
@@ -698,11 +698,14 @@ def _p_str(p: Poly) -> str:
     return out
 
 
-def compile_numeric(e: Expr, order: Sequence[str]) -> Callable:
-    """Compile an Expr into a fast float function of an argument vector.
+def compile_numeric(exprs: Sequence[Expr],
+                    order: Sequence[str]) -> Callable[[Sequence[float]], list]:
+    """One float kernel: values (one per name in `order`) -> [exprs[k] there].
 
-    Opaque leaves must carry evaluators.  The returned callable raises
-    DivisionByZero when the denominator vanishes.
+    Entries are evaluated one after another, denominator first, so the
+    floats and errors are those of evaluating each expression alone.
+    Opaque leaves must carry evaluators; the kernel raises DivisionByZero
+    when a denominator vanishes.
     """
     index = {name: i for i, name in enumerate(order)}
 
@@ -725,31 +728,32 @@ def compile_numeric(e: Expr, order: Sequence[str]) -> Callable:
             terms.append((float(c), tuple(plain), tuple(calls)))
         return tuple(terms)
 
-    num_terms = build(e.num)
-    den_terms = build(e.den)
-    den_is_one = e.den == _ONE_POLY
+    # per entry, the polynomials in evaluation order: (num,) or (den, num)
+    entries = []
+    for e in exprs:
+        num = build(e.num)
+        entries.append((num,) if e.den == _ONE_POLY else (build(e.den), num))
 
-    def run(terms, values):
-        total = 0.0
-        for c, plain, calls in terms:
-            acc = c
-            for i, p in plain:
-                acc *= values[i] ** p
-            for f, i, p in calls:
-                acc *= f(values[i]) ** p
-            total += acc
-        return total
+    def kernel(values):
+        out = []
+        for polys in entries:
+            # den is checked before num is evaluated; x / 1.0 is exact
+            total = 1.0
+            for terms in polys:
+                if total == 0.0:
+                    raise DivisionByZero("denominator vanishes at the point")
+                den, total = total, 0.0
+                for c, plain, calls in terms:
+                    acc = c
+                    for i, p in plain:
+                        acc *= values[i] ** p
+                    for f, i, p in calls:
+                        acc *= f(values[i]) ** p
+                    total += acc
+            out.append(total / den)
+        return out
 
-    if den_is_one:
-        def fn(values):
-            return run(num_terms, values)
-    else:
-        def fn(values):
-            d = run(den_terms, values)
-            if d == 0.0:
-                raise DivisionByZero("denominator vanishes at the point")
-            return run(num_terms, values) / d
-    return fn
+    return kernel
 
 
 # -- parsing -------------------------------------------------------------

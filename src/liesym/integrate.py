@@ -41,8 +41,8 @@ class Trajectory:
         return self.states[:, self.varnames.index(name)]
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
+def _rk4_step(rhs, t, y, h, k1):
+    """One RK4 step from (t, y), given k1 = rhs(t, y)."""
     k2 = rhs(t + h / 2, y + h / 2 * k1)
     k3 = rhs(t + h / 2, y + h / 2 * k2)
     k4 = rhs(t + h, y + h * k3)
@@ -89,9 +89,11 @@ def rk4_solve(rhs: Callable[[float, np.ndarray], np.ndarray],
 
     while (t1 - t) * direction > 1e-12 * max(1.0, abs(t1)):
         hh = h if (t1 - t) * direction >= step else (t1 - t)
-        full = _rk4_step(checked_rhs, t, y, hh)
-        half = _rk4_step(checked_rhs, t, y, hh / 2)
-        half = _rk4_step(checked_rhs, t + hh / 2, half, hh / 2)
+        k1 = checked_rhs(t, y)
+        full = _rk4_step(checked_rhs, t, y, hh, k1)
+        half = _rk4_step(checked_rhs, t, y, hh / 2, k1)
+        half = _rk4_step(checked_rhs, t + hh / 2, half, hh / 2,
+                         checked_rhs(t + hh / 2, half))
         err = float(np.max(np.abs(full - half))) / 15.0
         t = t + hh
         y = full

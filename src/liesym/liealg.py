@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rlinalg
 from .errors import DependentBasis, NotClosed
-from .expr import Expr, OpaqueNoEvaluator, UnboundSymbol
+from .expr import Expr, OpaqueNoEvaluator, UnboundSymbol, compile_numeric
 from .vectorfield import VectorField, lie_bracket
 
 Triple = Tuple[int, int, int]
@@ -230,17 +230,20 @@ def extract_structure_constants(fields: Sequence[VectorField],
     return tensor, method
 
 
-def _numeric_fallback(fields, bracket, a, b, seed, npoints=64, tol=1e-9):
-    """Sampled least-squares solve of [Xa, Xb] = sum_g c_g Xg."""
+def _numeric_fallback(fields, bracket, a, b, seed):
+    """Sampled least-squares solve of [Xa, Xb] = sum_g c_g Xg.
+
+    64 points per coordinate; the fit must leave a residual of at most 1e-9.
+    """
     vars0 = fields[0].vars
+    comps = [c for f in list(fields) + [bracket] for c in f.components]
     symbols = set()
-    for f in list(fields) + [bracket]:
-        for c in f.components:
-            symbols |= c.free_symbols()
+    for c in comps:
+        symbols |= c.free_symbols()
     order = list(vars0) + sorted(symbols - set(vars0))
+    n, r = len(vars0), len(fields)
     try:
-        compiled = [f.compiled(order) for f in fields]
-        btarget = bracket.compiled(order)
+        kernel = compile_numeric(comps, order)
     except (OpaqueNoEvaluator, UnboundSymbol) as exc:
         raise NotClosed(
             f"bracket [X{a + 1}, X{b + 1}] left the exact span and the "
@@ -248,28 +251,27 @@ def _numeric_fallback(fields, bracket, a, b, seed, npoints=64, tol=1e-9):
     rng = np.random.default_rng(seed)
     rows, rhs = [], []
     attempts = 0
-    while len(rows) < npoints * len(vars0) and attempts < npoints * 10:
+    while len(rows) < 64 * n and attempts < 640:
         attempts += 1
         pt = rng.uniform(0.3, 1.7, size=len(order))
         try:
-            vals = [[fn(pt) for fn in comp] for comp in compiled]
-            tvals = [fn(pt) for fn in btarget]
+            vals = kernel(pt)
         except Exception:
             continue
-        for i in range(len(vars0)):
-            rows.append([vals[g][i] for g in range(len(fields))])
-            rhs.append(tvals[i])
+        for i in range(n):
+            rows.append([vals[g * n + i] for g in range(r)])
+            rhs.append(vals[r * n + i])
     mat = np.array(rows)
     vec = np.array(rhs)
     sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
     resid = float(np.max(np.abs(mat @ sol - vec))) if len(rows) else float("inf")
-    if resid > tol:
+    if resid > 1e-9:
         raise NotClosed(
             f"bracket [X{a + 1}, X{b + 1}] is outside the span "
             f"(sampled residual {resid:.3e})", residual=resid)
     snapped = [Fraction(float(v)).limit_denominator(10 ** 6) for v in sol]
     snap_vec = np.array([float(v) for v in snapped])
-    if float(np.max(np.abs(mat @ snap_vec - vec))) <= tol:
+    if float(np.max(np.abs(mat @ snap_vec - vec))) <= 1e-9:
         return snapped
     return [Fraction(float(v)) for v in sol]
 

@@ -87,14 +87,14 @@ class LieSystem:
         return autonomize(self.drift_field(), self.time)
 
     def rhs(self) -> Callable[[float, np.ndarray], np.ndarray]:
-        order = (self.time,) + self.vars
-        fns = self.drift_field().compiled(order)
+        kernel = compile_numeric(self.drift_field().components,
+                                 (self.time,) + self.vars)
 
         def f(t, y):
             args = np.empty(len(y) + 1)
             args[0] = t
             args[1:] = y
-            return np.array([fn(args) for fn in fns])
+            return np.array(kernel(args))
 
         return f
 
@@ -281,12 +281,12 @@ class SymmetryCandidate:
     def channels_at(self, ts: np.ndarray):
         """(values, dvalues) arrays at the given times."""
         if self.is_closed_form:
-            fs = [compile_numeric(e, [self.time]) for e in self.f_exprs]
-            dfs = [compile_numeric(e.diff(self.time), [self.time])
-                   for e in self.f_exprs]
-            vals = np.array([[f([t]) for f in fs] for t in ts])
-            dvals = np.array([[f([t]) for f in dfs] for t in ts])
-            return vals, dvals
+            m = len(self.f_exprs)
+            kernel = compile_numeric(
+                self.f_exprs + tuple(e.diff(self.time) for e in self.f_exprs),
+                [self.time])
+            rows = np.array([kernel([t]) for t in ts]).reshape(len(ts), 2 * m)
+            return rows[:, :m], rows[:, m:]
         if len(ts) != len(self.grid) or not np.allclose(ts, self.grid):
             raise DimensionMismatch(
                 "sampled candidate is bound to its own time grid")
@@ -350,43 +350,39 @@ def _magnitude(v: float) -> float:
     return math.inf if math.isnan(v) else abs(v)
 
 
-def _pairwise_brackets(fields: Sequence[VectorField]):
-    out = {}
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            out[(a, b)] = lie_bracket(fields[a], fields[b])
-    return out
+def _pair_weights(u, v) -> list:
+    """u_a v_b - u_b v_a for a < b, the weights of [u X, v X] on [X_a, X_b]."""
+    r = len(u)
+    return [u[a] * v[b] - u[b] * v[a]
+            for a in range(r) for b in range(a + 1, r)]
 
 
 def _bracket_kernel(fields: Sequence[VectorField], order: Sequence[str]):
-    """Sampled residual of sum_a lin[a] X_a + sum_{a<b} pair[a, b] [X_a, X_b].
+    """Sampled residual of sum_a w_a X_a + sum_{a<b} w_ab [X_a, X_b].
 
-    The basis and its pairwise brackets are compiled once over the given
-    argument order.  The returned function takes (lin, pair, args) and
-    gives the worst component at args; each component sums the linear
-    terms first, then the bracket terms in (a, b) order.
+    Returns (kernel, residual): the basis and its pairwise brackets as one
+    kernel over `order`, and residual(weights, vals), the worst component
+    at a point where the kernel gave vals, so that one evaluation serves
+    every weight vector there.  The weights are the r linear ones followed
+    by _pair_weights; each component sums its nonzero-weight terms in order.
     """
     r = len(fields)
-    basis_fns = [f.compiled(order) for f in fields]
-    bracket_fns = {k: v.compiled(order)
-                   for k, v in _pairwise_brackets(fields).items()}
+    gens = list(fields) + [lie_bracket(fields[a], fields[b])
+                           for a in range(r) for b in range(a + 1, r)]
+    kernel = compile_numeric([c for g in gens for c in g.components], order)
     n = len(fields[0].components)
 
-    def worst_component(lin, pair, args) -> float:
+    def residual(weights, vals) -> float:
         worst = 0.0
         for i in range(n):
             acc = 0.0
-            for a in range(r):
-                if lin[a]:
-                    acc += lin[a] * basis_fns[a][i](args)
-            for key, fns in bracket_fns.items():
-                w = pair[key]
+            for k, w in enumerate(weights):
                 if w:
-                    acc += w * fns[i](args)
+                    acc += w * vals[k * n + i]
             worst = max(worst, _magnitude(acc))
         return float(worst)
 
-    return worst_component
+    return kernel, residual
 
 
 def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
@@ -439,26 +435,25 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
         ts = candidate.grid[idx]
         vals, dvals = candidate.values[idx], candidate.dvalues[idx]
 
-    b_fns = [compile_numeric(b, [t]) for b in sys.coeffs]
-    db_fns = [compile_numeric(b.diff(t), [t]) for b in sys.coeffs]
-    b0_fn = compile_numeric(sys.gauge, [t])
-    kernel = _bracket_kernel(sys.algebra.fields, sys.vars)
+    b_kernel = compile_numeric(
+        sys.coeffs + tuple(b.diff(t) for b in sys.coeffs) + (sys.gauge,), [t])
+    kernel, residual = _bracket_kernel(sys.algebra.fields, sys.vars)
+    xvals = [kernel(x) for x in xs]
 
     worst = 0.0
     for k, tk in enumerate(ts):
-        bv = [fn([tk]) for fn in b_fns]
-        dbv = [fn([tk]) for fn in db_fns]
+        bvals = b_kernel([tk])
+        bv, dbv = bvals[:r], bvals[r:2 * r]
         f0v = vals[k][0]
         fv = vals[k][1:]
         df0v = dvals[k][0]
         dfv = dvals[k][1:]
         if check_gauge:
-            worst = max(worst, _magnitude(b0_fn([tk]) - df0v))
-        lin = [f0v * dbv[a] - dfv[a] + df0v * bv[a] for a in range(r)]
-        pair = {(a, b): fv[a] * bv[b] - fv[b] * bv[a]
-                for a in range(r) for b in range(a + 1, r)}
-        for x in xs:
-            worst = max(worst, kernel(lin, pair, x))
+            worst = max(worst, _magnitude(bvals[2 * r] - df0v))
+        weights = ([f0v * dbv[a] - dfv[a] + df0v * bv[a] for a in range(r)]
+                   + _pair_weights(fv, bv))
+        for at_x in xvals:
+            worst = max(worst, residual(weights, at_x))
     return ResidualReport(worst, exact=False, npoints=len(ts) * len(xs))
 
 
@@ -516,32 +511,32 @@ def _transport_moves(candidate: SymmetryCandidate, sys: LieSystem,
     ts = traj.ts
     vals, dvals = candidate.channels_at(ts)
 
-    drift_fns = sys.drift_field().compiled((sys.time,) + sys.vars)
-    basis_fns = [f.compiled(sys.vars) for f in sys.algebra.fields]
-    jac_fns = [[[compile_numeric(f.components[i].diff(v), sys.vars)
-                 for v in sys.vars] for i in range(n)]
-               for f in sys.algebra.fields]
+    drift = compile_numeric(sys.drift_field().components,
+                            (sys.time,) + sys.vars)
+    fields = sys.algebra.fields
+    basis = [compile_numeric(f.components, sys.vars) for f in fields]
+    jacobians = [compile_numeric([c.diff(v) for c in f.components
+                                  for v in sys.vars], sys.vars)
+                 for f in fields]
 
     rows = []
     for k, tk in enumerate(ts):
         s = traj.states[k]
         fv, dfv = vals[k][1:], dvals[k][1:]
-        args = np.concatenate(([tk], s))
-        sdot = np.array([fn(args) for fn in drift_fns])
-        xa = [np.array([basis_fns[a][i](s) for i in range(n)]) for a in range(r)]
+        sdot = np.array(drift(np.concatenate(([tk], s))))
+        xa = [np.array(kernel(s)) for kernel in basis]
         u = sum(fv[a] * xa[a] for a in range(r)) if r else np.zeros(n)
         du = np.zeros(n)
         for a in range(r):
             du += dfv[a] * xa[a]
-            jac = np.array([[jac_fns[a][i][j](s) for j in range(n)]
-                            for i in range(n)])
+            jac = np.array(jacobians[a](s)).reshape(n, n)
             du += fv[a] * (jac @ sdot)
         rows.append((tk, s, vals[k][0], dvals[k][0], sdot, u, du))
-    return drift_fns, rows
+    return drift, rows
 
 
 def _transport_defect(moves, sys: LieSystem, eps: float) -> float:
-    drift_fns, rows = moves
+    drift, rows = moves
     worst = 0.0
     for tk, s, f0v, df0v, sdot, u, du in rows:
         t_new = tk + eps * f0v
@@ -553,7 +548,7 @@ def _transport_defect(moves, sys: LieSystem, eps: float) -> float:
         if sys.excluded is not None and sys.excluded(z_new):
             raise TransportLeftDomain(f"transport hit the excluded locus at t={tk}")
         args_new = np.concatenate(([t_new], z_new))
-        x_new = np.array([fn(args_new) for fn in drift_fns])
+        x_new = np.array(drift(args_new))
         defect = np.max(np.abs(dz_dt / dt_dt - x_new))
         worst = max(worst, _magnitude(float(defect)))
     return worst
@@ -643,8 +638,8 @@ def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
     if t_samples is None:
         t_samples = np.linspace(0.1, 1.0, 19)
     _need_points(len(t_samples))
-    fn = compile_numeric(resid, [var])
-    worst = max(_magnitude(fn([tv])) for tv in t_samples)
+    kernel = compile_numeric([resid], [var])
+    worst = max(_magnitude(kernel([tv])[0]) for tv in t_samples)
     return ResidualReport(float(worst), exact=False, npoints=len(t_samples))
 
 
@@ -667,14 +662,8 @@ def aff_closed_form(a: Expr, b: Expr, k, c1, c2,
     if m < 2:
         raise GridEmpty("aff_closed_form needs at least two grid points")
     ts = t0 + step * np.arange(m + 1)
-    a_fn = compile_numeric(a, [time])
-    da_fn = compile_numeric(a.diff(time), [time])
-    b_fn = compile_numeric(b, [time])
-    db_fn = compile_numeric(b.diff(time), [time])
-    av = np.array([a_fn([t]) for t in ts])
-    dav = np.array([da_fn([t]) for t in ts])
-    bv = np.array([b_fn([t]) for t in ts])
-    dbv = np.array([db_fn([t]) for t in ts])
+    kernel = compile_numeric([a, a.diff(time), b, b.diff(time)], [time])
+    av, dav, bv, dbv = np.array([kernel([t]) for t in ts]).T
 
     big_b = cumulative_simpson(bv, step)
     decay = np.exp(-big_b)
@@ -730,17 +719,17 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
 
     xs = _sample_states(sys.default_box(), nx, seed)
     _need_points(n_sample_times)
-    b_fns = [compile_numeric(b, [t]) for b in sys.coeffs]
+    b_kernel = compile_numeric(sys.coeffs, [t])
 
     def rhs(tv, f):
-        return np.array(tensor.bracket(f, [fn([tv]) for fn in b_fns]),
-                        dtype=float)
+        return np.array(tensor.bracket(f, b_kernel([tv])), dtype=float)
 
     names = tuple(f"f{i + 1}" for i in range(r))
     trajs = [rk4_solve(rhs, inits[i], t_span, step, varnames=names)
              for i in range(r)]
 
-    kernel = _bracket_kernel(sys.algebra.fields, sys.vars)
+    kernel, residual = _bracket_kernel(sys.algebra.fields, sys.vars)
+    xvals = [kernel(x) for x in xs]
     m = len(trajs[0].ts)
     sample_idx = np.linspace(0, m - 1, n_sample_times).astype(int)
     units = np.eye(r, dtype=int).tolist()
@@ -753,10 +742,9 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
                 # [Y_i, Y_j] - sum_g c_ijg Y_g with Y_i = sum_a fvecs[i][a] X_a
                 lin = -np.array(tensor.bracket(units[i], units[j]),
                                 dtype=float) @ fvecs
-                pair = {(a, b): fvecs[i][a] * fvecs[j][b] - fvecs[i][b] * fvecs[j][a]
-                        for a in range(r) for b in range(a + 1, r)}
-                for x in xs:
-                    worst = max(worst, kernel(lin, pair, x))
+                weights = list(lin) + _pair_weights(fvecs[i], fvecs[j])
+                for at_x in xvals:
+                    worst = max(worst, residual(weights, at_x))
     return VerticalFamilyReport(worst,
                                 tuple(float(trajs[0].ts[i]) for i in sample_idx),
                                 tuple(trajs))

@@ -53,6 +53,7 @@ from .liesys import (
     _check_state_box,
     _fold_generators,
     _magnitude,
+    _pair_weights,
     _sample_states,
     _thin,
     _y_generators,
@@ -130,11 +131,6 @@ class PDELieSystem:
         drift = self.drift_field(l)
         return VectorField(self.times + self.vars,
                            tuple(head) + drift.components)
-
-    def compiled_drifts(self):
-        """Per-direction drift components compiled over (times, x)."""
-        order = self.times + self.vars
-        return [self.drift_field(l).compiled(order) for l in range(self.s)]
 
     def default_time_box(self) -> Tuple[Tuple[float, float], ...]:
         return self.time_box or tuple((0.0, 1.0) for _ in self.times)
@@ -248,12 +244,14 @@ def curvature_residual(sys: PDELieSystem) -> CurvatureReport:
     if statuses <= {ZeroStatus.ZERO}:
         return CurvatureReport(0.0, exact=True, npoints=0)
     pts = time_grid(sys)
+    kernel = compile_numeric(list(entries.values()), sys.times)
+    vals = [kernel(row) for row in pts]
     worst_val = 0.0
     worst_key: Optional[Tuple[int, int, int]] = None
-    for key, e in entries.items():
-        fn = compile_numeric(e, sys.times)
-        for row in pts:
-            v = _magnitude(fn(row))
+    # entry-major, so that a tie keeps the first entry reaching the worst
+    for k, key in enumerate(entries):
+        for point_vals in vals:
+            v = _magnitude(point_vals[k])
             if v > worst_val:
                 worst_val = v
                 worst_key = key
@@ -335,7 +333,9 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
         raise DimensionMismatch(
             f"path in {path.s} time dimensions, system has {sys.s}")
     n = len(sys.vars)
-    dfns = sys.compiled_drifts()
+    drifts = compile_numeric([c for l in range(sys.s)
+                              for c in sys.drift_field(l).components],
+                             sys.times + sys.vars)
 
     ts_parts: List[np.ndarray] = []
     state_parts: List[np.ndarray] = []
@@ -346,10 +346,9 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
         d = np.asarray(path.waypoints[i + 1], dtype=float) - w0
 
         def rhs(u, yy, w0=w0, d=d):
-            args = np.concatenate([w0 + u * d, yy])
-            return np.array([
-                sum(d[l] * dfns[l][j](args) for l in range(sys.s))
-                for j in range(n)])
+            vals = drifts(np.concatenate([w0 + u * d, yy]))
+            return np.array([sum(d[l] * vals[l * n + j] for l in range(sys.s))
+                             for j in range(n)])
 
         leg = rk4_solve(rhs, y, (0.0, 1.0), 1.0 / path.steps,
                         varnames=sys.vars, excluded=sys.excluded)
@@ -441,14 +440,14 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
     sysf = built.system
     tpoints = np.vstack([path.point(u) for u in traj.ts])
     values = traj.states
-    dfns = sysf.compiled_drifts()
+    drifts = compile_numeric([c for l in range(sysf.s)
+                              for c in sysf.drift_field(l).components],
+                             sysf.times + sysf.vars)
     m, r = values.shape
     dvalues = np.empty((m, r, sysf.s))
     for k in range(m):
-        args = np.concatenate([tpoints[k], values[k]])
-        for l in range(sysf.s):
-            for j in range(r):
-                dvalues[k, j, l] = dfns[l][j](args)
+        vals = drifts(np.concatenate([tpoints[k], values[k]]))
+        dvalues[k] = np.reshape(vals, (sysf.s, r)).T
     return PDESymmetryCandidate.sampled(tpoints, values, dvalues,
                                         times=sysf.times)
 
@@ -536,8 +535,8 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
 
     pts = time_grid(sys)
     xs = _sample_states(sys.default_box(), nx, seed)
-    br_fns = [compile_numeric(e, joint) for e, _ in paired]
-    jet_fns = [compile_numeric(j, joint) for _, j in paired]
+    kernel = compile_numeric(bracket_comps + jet_comps, joint)
+    m = len(bracket_comps)
     worst = 0.0
     jet_worst = 0.0
     gap = 0.0
@@ -546,9 +545,8 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
         args[:sys.s] = tp
         for x in xs:
             args[sys.s:] = x
-            for bf, jf in zip(br_fns, jet_fns):
-                bv = bf(args)
-                jv = jf(args)
+            vals = kernel(args)
+            for bv, jv in zip(vals[:m], vals[m:]):
                 worst = max(worst, _magnitude(bv))
                 jet_worst = max(jet_worst, _magnitude(jv))
                 gap = max(gap, _magnitude(bv - jv))
@@ -562,9 +560,9 @@ def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
         raise DimensionMismatch(
             f"{sys.r} basis fields but candidate has {cand.r} channels")
     r, s = sys.r, sys.s
-    kernel = _bracket_kernel(sys.algebra.fields, sys.times + sys.vars)
-    b_fns = [[compile_numeric(sys.coeffs[a][l], sys.times)
-              for l in range(s)] for a in range(r)]
+    kernel, residual = _bracket_kernel(sys.algebra.fields, sys.times + sys.vars)
+    b_kernel = compile_numeric([c for row in sys.coeffs for c in row],
+                               sys.times)
     xs = _sample_states(sys.default_box(), nx, seed)
     idx = _thin(len(cand.tpoints), nt)
     worst = 0.0
@@ -573,15 +571,15 @@ def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
         tp = cand.tpoints[k]
         fv = cand.values[k]
         dv = cand.dvalues[k]
-        bv = np.array([[fn(tp) for fn in row] for row in b_fns])
-        pairs = [{(a, b): bv[a, l] * fv[b] - bv[b, l] * fv[a]
-                  for a in range(r) for b in range(a + 1, r)}
-                 for l in range(s)]
+        bv = np.reshape(b_kernel(tp), (r, s))
+        weights = [list(dv[:, l]) + _pair_weights(bv[:, l], fv)
+                   for l in range(s)]
         args[:s] = tp
         for x in xs:
             args[s:] = x
+            vals = kernel(args)
             for l in range(s):
-                worst = max(worst, kernel(dv[:, l], pairs[l], args))
+                worst = max(worst, residual(weights[l], vals))
     return PDESymmetryReport(worst, exact=False, npoints=len(idx) * len(xs))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotVertical
-from .expr import Expr, ZeroStatus, compile_numeric
+from .expr import Expr, ZeroStatus
 
 
 class VectorField:
@@ -73,10 +73,6 @@ class VectorField:
         if ZeroStatus.NONZERO in statuses:
             return ZeroStatus.NONZERO
         return ZeroStatus.UNKNOWN
-
-    def compiled(self, order: Sequence[str]):
-        """Per-component float callables over a fixed argument order."""
-        return [compile_numeric(c, order) for c in self.components]
 
     def _check_same_space(self, other: "VectorField"):
         if not isinstance(other, VectorField):

@@ -66,6 +66,35 @@ def test_check_algebra_status_lines():
     assert out.splitlines()[0] == "closed, r=8, jacobi=0, center=0"
 
 
+def test_check_algebra_extracts_the_tensor_once(monkeypatch):
+    import liesym.cli
+    import liesym.liealg
+
+    calls = []
+    real = liesym.liealg.extract_structure_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liesym.liealg, "extract_structure_constants", counting)
+    monkeypatch.setattr(liesym.cli, "extract_structure_constants", counting,
+                        raising=False)
+    code, out = run_cli("check-algebra", "--catalog", "riccati")
+    assert code == EXIT_OK and "extraction: exact" in out
+    assert len(calls) == 1
+
+
+def test_tuple_parameters_split_on_commas(tmp_path):
+    code, out = run_cli("show", "dbh", "--param", "alpha=1,2,3")
+    assert code == EXIT_OK and "name: dbh" in out
+    code, _ = run_cli("pde", "--catalog", "partial_riccati",
+                      "--param", "times=t1,t2,t3", "--x0", "0.2",
+                      "--out", str(tmp_path / "p.csv"),
+                      "--report", str(tmp_path / "p.json"))
+    assert code == EXIT_OK
+
+
 def test_check_algebra_error_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")

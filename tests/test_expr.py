@@ -169,12 +169,15 @@ def test_parse_errors():
 
 
 def test_compile_numeric_matches_eval():
-    e = (x ** 2 + 3 * y) / (y + 5)
-    fn = compile_numeric(e, ["x", "y"])
+    exprs = [(x ** 2 + 3 * y) / (y + 5), x * y - 1, Expr.zero()]
+    kernel = compile_numeric(exprs, ["x", "y"])
     rng = random.Random(0)
     for _ in range(20):
         px, py = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        assert fn([px, py]) == pytest.approx(e.eval({"x": px, "y": py}), rel=1e-13)
+        got = kernel([px, py])
+        assert len(got) == len(exprs)
+        for value, e in zip(got, exprs):
+            assert value == pytest.approx(e.eval({"x": px, "y": py}), rel=1e-13)
 
 
 def test_fd_round_trip_matches_exact_derivative():
@@ -242,3 +245,41 @@ def test_division_round_trip(a, b):
         return
     q = a / b
     assert q * b == a
+
+
+@st.composite
+def rationals(draw):
+    num = draw(polys())
+    den = draw(polys())
+    return num / den if den.num else num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals(), min_size=1, max_size=4),
+       st.floats(min_value=-2, max_value=2), st.floats(min_value=-2, max_value=2))
+def test_compile_numeric_entries_match_eval(exprs, px, py):
+    kernel = compile_numeric(exprs, ["x", "y"])
+    point = {"x": px, "y": py}
+    try:
+        expected = [e.eval(point) for e in exprs]
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            kernel([px, py])
+        return
+    got = kernel([px, py])
+    assert len(got) == len(exprs)
+    for value, want in zip(got, expected):
+        assert value == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_compile_numeric_vanishing_denominator_in_any_entry(position):
+    # the numerator log(x) fails at x = 0 too; the denominator is checked first
+    log = OpaqueFunction("log", math.log)
+    pole = Expr.opaque(log, "x") / x
+    exprs = [x + 1, y * x, x ** 2 - y]
+    exprs[position] = pole
+    kernel = compile_numeric(exprs, ["x", "y"])
+    assert kernel([2.0, 1.0])[position] == pytest.approx(math.log(2.0) / 2)
+    with pytest.raises(DivisionByZero):
+        kernel([0.0, 1.0])

@@ -31,6 +31,18 @@ def test_rk4_order_four_convergence():
     assert 12.0 <= ratio <= 20.0
 
 
+def test_rk4_shares_k1_between_full_and_half_step():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+
+    rk4_solve(rhs, [1.0], (0.0, 1.0), 0.1)
+    # 4 for the full step, 3 + 4 for the two half steps, k1 shared
+    assert len(calls) == 10 * 11
+
+
 def test_rk4_backward():
     traj = rk4_solve(lambda t, y: y, [math.e], (1.0, 0.0), 1e-3)
     assert abs(traj.states[-1, 0] - 1.0) < 1e-10
