@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import sys
@@ -469,11 +470,19 @@ _COMMANDS = {
 
 # -- argument parsing ------------------------------------------------------------
 
+def _finite(values: Tuple[float, ...]) -> Tuple[float, ...]:
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"values must be finite, got {', '.join(map(str, values))}")
+    return values
+
+
 def _floats(text: str) -> Tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(",") if v != "")
+        values = tuple(float(v) for v in text.split(",") if v != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    return _finite(values)
 
 
 def _span(text: str) -> Tuple[float, float]:
@@ -481,9 +490,10 @@ def _span(text: str) -> Tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("t-span must look like A:B")
     try:
-        return float(parts[0]), float(parts[1])
+        values = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    return _finite(values)
 
 
 def _kv(text: str) -> Tuple[str, str]:

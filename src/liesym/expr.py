@@ -18,6 +18,7 @@ expressions a caller evaluates together into one float kernel.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -698,6 +699,28 @@ def _p_str(p: Poly) -> str:
     return out
 
 
+def _float64_pow(v: float, p: int) -> float:
+    """v ** p, with the +-inf of float64 where Python's float overflows."""
+    try:
+        return v ** p
+    except OverflowError:
+        return -math.inf if v < 0 and p % 2 else math.inf
+
+
+def _overflowed_term(c: float, plain, calls, values) -> float:
+    """A kernel term in which a float power overflowed, evaluated again.
+
+    Python's float ** int raises OverflowError where float64 gives +-inf;
+    the term takes the float64 value, so an overflow reads as a pole.
+    """
+    acc = c
+    for i, p in plain:
+        acc *= _float64_pow(values[i], p)
+    for f, i, p in calls:
+        acc *= _float64_pow(f(values[i]), p)
+    return acc
+
+
 def compile_numeric(exprs: Sequence[Expr],
                     order: Sequence[str]) -> Callable[[Sequence[float]], list]:
     """One float kernel: values (one per name in `order`) -> [exprs[k] there].
@@ -745,10 +768,13 @@ def compile_numeric(exprs: Sequence[Expr],
                 den, total = total, 0.0
                 for c, plain, calls in terms:
                     acc = c
-                    for i, p in plain:
-                        acc *= values[i] ** p
-                    for f, i, p in calls:
-                        acc *= f(values[i]) ** p
+                    try:
+                        for i, p in plain:
+                            acc *= values[i] ** p
+                        for f, i, p in calls:
+                            acc *= f(values[i]) ** p
+                    except OverflowError:
+                        acc = _overflowed_term(c, plain, calls, values)
                     total += acc
             out.append(total / den)
         return out

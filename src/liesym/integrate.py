@@ -8,12 +8,14 @@ are reproducible bit for bit given the same inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PoleEncountered, QuadratureDiverged, StepNotPositive
+from .errors import (BadParams, PoleEncountered, QuadratureDiverged,
+                     StepNotPositive)
 
 POLE_LIMIT = 1e12
 
@@ -42,14 +44,44 @@ class Trajectory:
 
 
 def _rk4_step(rhs, t, y, h, k1):
-    """One RK4 step from (t, y), given k1 = rhs(t, y)."""
-    k2 = rhs(t + h / 2, y + h / 2 * k1)
-    k3 = rhs(t + h / 2, y + h / 2 * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One RK4 step from (t, y), given k1 = rhs(t, y); float lists throughout."""
+    h2 = h / 2
+    k2 = rhs(t + h2, [a + h2 * b for a, b in zip(y, k1)])
+    k3 = rhs(t + h2, [a + h2 * b for a, b in zip(y, k2)])
+    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6
+    return [a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def rk4_solve(rhs: Callable[[float, np.ndarray], np.ndarray],
+def _as_floats(val, n: int) -> list:
+    """An rhs value as n Python floats, broadcast as numpy would."""
+    if type(val) is list and len(val) == n:
+        return [float(v) for v in val]
+    return np.broadcast_to(np.asarray(val, dtype=float), (n,)).tolist()
+
+
+def _in_bounds(vals) -> bool:
+    """Every entry finite and within POLE_LIMIT in absolute value."""
+    for v in vals:
+        if not abs(v) <= POLE_LIMIT:  # also false for NaN
+            return False
+    return True
+
+
+def _max_abs_diff(u, v) -> float:
+    """max |u - v| over the entries, NaN if any difference is NaN."""
+    worst = 0.0
+    for a, b in zip(u, v):
+        d = abs(a - b)
+        if d != d:
+            return d
+        if d > worst:
+            worst = d
+    return worst
+
+
+def rk4_solve(rhs: Callable[[float, np.ndarray], Sequence[float]],
               y0: Sequence[float],
               t_span: Tuple[float, float],
               step: float,
@@ -57,34 +89,50 @@ def rk4_solve(rhs: Callable[[float, np.ndarray], np.ndarray],
               excluded: Optional[Callable[[np.ndarray], bool]] = None) -> Trajectory:
     """Classical RK4 with a fixed step and half-step Richardson estimates.
 
+    rhs(t, y) receives t as a float and y as a float64 ndarray and may
+    return any sequence of floats (an ndarray or a list), one per state
+    entry; excluded(y) also receives an ndarray.  Between those calls the
+    stepping runs on Python floats: at the sizes of symmetry systems a
+    numpy call costs more than the arithmetic it does.  The operations
+    and their order are those of the array form, so trajectories are
+    bit-identical to it.
+
     The trajectory advances on the full-step values; the two half steps
     feed only the stored error estimate |full - half*2|_inf / 15.
     Integration aborts with PoleEncountered when the right-hand side or
     the state leaves [-POLE_LIMIT, POLE_LIMIT] or hits the excluded set.
+    A non-finite t_span, y0 or step raises BadParams.
     """
     if step <= 0:
         raise StepNotPositive(f"step must be positive, got {step}")
     t0, t1 = float(t_span[0]), float(t_span[1])
+    y0_arr = np.asarray(y0, dtype=float).reshape(-1)
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(step)):
+        raise BadParams(f"t_span {t0:g}:{t1:g} and step {step:g} must be finite")
+    if not np.all(np.isfinite(y0_arr)):
+        raise BadParams(f"initial state {y0_arr.tolist()} must be finite")
     if t1 == t0:
         raise StepNotPositive("empty integration interval")
     direction = 1.0 if t1 > t0 else -1.0
     h = direction * step
-    y = np.asarray(y0, dtype=float)
-    names = tuple(varnames) if varnames else tuple(f"x{i}" for i in range(len(y)))
-    if excluded is not None and excluded(y):
+    n = len(y0_arr)
+    y = y0_arr.tolist()
+    names = tuple(varnames) if varnames else tuple(f"x{i}" for i in range(n))
+    if excluded is not None and excluded(y0_arr):
         raise PoleEncountered("initial state is on the excluded locus",
-                              t=t0, state=y)
+                              t=t0, state=y0_arr)
     ts = [t0]
-    states = [y.copy()]
+    states = [y]
     errs = [0.0]
     t = t0
 
     def checked_rhs(tt, yy):
-        val = np.asarray(rhs(tt, yy), dtype=float)
-        if not np.all(np.isfinite(val)) or np.max(np.abs(val)) > POLE_LIMIT:
+        arr = np.array(yy)
+        val = _as_floats(rhs(tt, arr), n)
+        if not _in_bounds(val):
             raise PoleEncountered(
                 f"right-hand side exceeded {POLE_LIMIT:g} at t={tt:.6g}",
-                t=tt, state=yy)
+                t=tt, state=arr)
         return val
 
     while (t1 - t) * direction > 1e-12 * max(1.0, abs(t1)):
@@ -94,19 +142,21 @@ def rk4_solve(rhs: Callable[[float, np.ndarray], np.ndarray],
         half = _rk4_step(checked_rhs, t, y, hh / 2, k1)
         half = _rk4_step(checked_rhs, t + hh / 2, half, hh / 2,
                          checked_rhs(t + hh / 2, half))
-        err = float(np.max(np.abs(full - half))) / 15.0
+        err = _max_abs_diff(full, half) / 15.0
         t = t + hh
         y = full
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > POLE_LIMIT:
+        if not _in_bounds(y):
             raise PoleEncountered(
-                f"state exceeded {POLE_LIMIT:g} at t={t:.6g}", t=t, state=y)
-        if excluded is not None and excluded(y):
+                f"state exceeded {POLE_LIMIT:g} at t={t:.6g}", t=t,
+                state=np.array(y))
+        if excluded is not None and excluded(np.array(y)):
             raise PoleEncountered(
-                f"state hit the excluded locus at t={t:.6g}", t=t, state=y)
+                f"state hit the excluded locus at t={t:.6g}", t=t,
+                state=np.array(y))
         ts.append(t)
-        states.append(y.copy())
+        states.append(y)
         errs.append(err)
-    return Trajectory(np.array(ts), np.vstack(states), np.array(errs),
+    return Trajectory(np.array(ts), np.array(states), np.array(errs),
                       names, step)
 
 
@@ -116,21 +166,20 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     Matches composite Simpson on even indices; odd indices use the
     quadratic through the three nearest samples.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float).tolist()
     m = len(v)
-    out = np.zeros(m)
     if m < 2:
-        return out
+        return np.zeros(m)
     if m == 2:
-        out[1] = step * (v[0] + v[1]) / 2
-        return out
+        return np.array([0.0, step * (v[0] + v[1]) / 2])
+    out = [0.0]
     for i in range(1, m):
         if i == 1:
             inc = step * (5 * v[0] + 8 * v[1] - v[2]) / 12
         else:
             inc = step * (-v[i - 2] + 8 * v[i - 1] + 5 * v[i]) / 12
-        out[i] = out[i - 1] + inc
+        out.append(out[i - 1] + inc)
+    out = np.array(out)
     if not np.all(np.isfinite(out)):
         raise QuadratureDiverged("cumulative Simpson produced non-finite values")
     return out
-

@@ -11,7 +11,7 @@ as numerical.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,22 @@ class StructureTensor:
         for (a, b, g), c in sorted(self.data.items()):
             w[g] = w[g] + c * (u[a] * v[b] - u[b] * v[a])
         return w
+
+    def float_bracket(self) -> Callable[[Sequence[float], Sequence[float]], list]:
+        """bracket() for float vectors, with the constants read as floats once.
+
+        Fraction * float is float(c) * x, so the values are bracket()'s.
+        """
+        consts = [(a, b, g, float(c)) for (a, b, g), c in sorted(self.data.items())]
+        r = self.r
+
+        def bracket(u, v):
+            w = [0] * r
+            for a, b, g, c in consts:
+                w[g] = w[g] + c * (u[a] * v[b] - u[b] * v[a])
+            return w
+
+        return bracket
 
     def __eq__(self, other):
         return (isinstance(other, StructureTensor)
@@ -255,7 +271,7 @@ def _numeric_fallback(fields, bracket, a, b, seed):
         attempts += 1
         pt = rng.uniform(0.3, 1.7, size=len(order))
         try:
-            vals = kernel(pt)
+            vals = kernel(pt.tolist())
         except Exception:
             continue
         for i in range(n):

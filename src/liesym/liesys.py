@@ -86,15 +86,12 @@ class LieSystem:
         """Xbar = d/dt + X(t, x) over (t, x)."""
         return autonomize(self.drift_field(), self.time)
 
-    def rhs(self) -> Callable[[float, np.ndarray], np.ndarray]:
+    def rhs(self) -> Callable[[float, np.ndarray], list]:
         kernel = compile_numeric(self.drift_field().components,
                                  (self.time,) + self.vars)
 
         def f(t, y):
-            args = np.empty(len(y) + 1)
-            args[0] = t
-            args[1:] = y
-            return np.array(kernel(args))
+            return kernel([t] + y.tolist())
 
         return f
 
@@ -285,7 +282,8 @@ class SymmetryCandidate:
             kernel = compile_numeric(
                 self.f_exprs + tuple(e.diff(self.time) for e in self.f_exprs),
                 [self.time])
-            rows = np.array([kernel([t]) for t in ts]).reshape(len(ts), 2 * m)
+            rows = np.array([kernel([t]) for t in np.asarray(ts, dtype=float).tolist()])
+            rows = rows.reshape(len(ts), 2 * m)
             return rows[:, :m], rows[:, m:]
         if len(ts) != len(self.grid) or not np.allclose(ts, self.grid):
             raise DimensionMismatch(
@@ -329,14 +327,14 @@ def _need_points(count: int) -> None:
 
 
 def _sample_states(box: Sequence[Tuple[float, float]], nx: int,
-                   seed: int) -> np.ndarray:
-    """nx seeded uniform points in the box, one column per coordinate."""
+                   seed: int) -> List[List[float]]:
+    """nx seeded uniform points in the box, as float lists for the kernels."""
     _need_points(nx)
     rng = np.random.default_rng(seed)
     pts = np.empty((nx, len(box)))
     for j, (lo, hi) in enumerate(box):
         pts[:, j] = rng.uniform(lo, hi, size=nx)
-    return pts
+    return pts.tolist()
 
 
 def _thin(m: int, nt: int) -> np.ndarray:
@@ -439,9 +437,10 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
         sys.coeffs + tuple(b.diff(t) for b in sys.coeffs) + (sys.gauge,), [t])
     kernel, residual = _bracket_kernel(sys.algebra.fields, sys.vars)
     xvals = [kernel(x) for x in xs]
+    vals, dvals = vals.tolist(), dvals.tolist()
 
     worst = 0.0
-    for k, tk in enumerate(ts):
+    for k, tk in enumerate(ts.tolist()):
         bvals = b_kernel([tk])
         bv, dbv = bvals[:r], bvals[r:2 * r]
         f0v = vals[k][0]
@@ -522,14 +521,15 @@ def _transport_moves(candidate: SymmetryCandidate, sys: LieSystem,
     rows = []
     for k, tk in enumerate(ts):
         s = traj.states[k]
+        s_list = s.tolist()
         fv, dfv = vals[k][1:], dvals[k][1:]
-        sdot = np.array(drift(np.concatenate(([tk], s))))
-        xa = [np.array(kernel(s)) for kernel in basis]
+        sdot = np.array(drift([float(tk)] + s_list))
+        xa = [np.array(kernel(s_list)) for kernel in basis]
         u = sum(fv[a] * xa[a] for a in range(r)) if r else np.zeros(n)
         du = np.zeros(n)
         for a in range(r):
             du += dfv[a] * xa[a]
-            jac = np.array(jacobians[a](s)).reshape(n, n)
+            jac = np.array(jacobians[a](s_list)).reshape(n, n)
             du += fv[a] * (jac @ sdot)
         rows.append((tk, s, vals[k][0], dvals[k][0], sdot, u, du))
     return drift, rows
@@ -547,8 +547,7 @@ def _transport_defect(moves, sys: LieSystem, eps: float) -> float:
             raise TransportLeftDomain(f"transport left the domain at t={tk}")
         if sys.excluded is not None and sys.excluded(z_new):
             raise TransportLeftDomain(f"transport hit the excluded locus at t={tk}")
-        args_new = np.concatenate(([t_new], z_new))
-        x_new = np.array(drift(args_new))
+        x_new = np.array(drift([float(t_new)] + z_new.tolist()))
         defect = np.max(np.abs(dz_dt / dt_dt - x_new))
         worst = max(worst, _magnitude(float(defect)))
     return worst
@@ -639,7 +638,8 @@ def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
         t_samples = np.linspace(0.1, 1.0, 19)
     _need_points(len(t_samples))
     kernel = compile_numeric([resid], [var])
-    worst = max(_magnitude(kernel([tv])[0]) for tv in t_samples)
+    worst = max(_magnitude(kernel([tv])[0])
+                for tv in np.asarray(t_samples, dtype=float).tolist())
     return ResidualReport(float(worst), exact=False, npoints=len(t_samples))
 
 
@@ -663,7 +663,7 @@ def aff_closed_form(a: Expr, b: Expr, k, c1, c2,
         raise GridEmpty("aff_closed_form needs at least two grid points")
     ts = t0 + step * np.arange(m + 1)
     kernel = compile_numeric([a, a.diff(time), b, b.diff(time)], [time])
-    av, dav, bv, dbv = np.array([kernel([t]) for t in ts]).T
+    av, dav, bv, dbv = np.array([kernel([t]) for t in ts.tolist()]).T
 
     big_b = cumulative_simpson(bv, step)
     decay = np.exp(-big_b)
@@ -720,9 +720,10 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     xs = _sample_states(sys.default_box(), nx, seed)
     _need_points(n_sample_times)
     b_kernel = compile_numeric(sys.coeffs, [t])
+    bracket = tensor.float_bracket()
 
     def rhs(tv, f):
-        return np.array(tensor.bracket(f, b_kernel([tv])), dtype=float)
+        return bracket(f.tolist(), b_kernel([tv]))
 
     names = tuple(f"f{i + 1}" for i in range(r))
     trajs = [rk4_solve(rhs, inits[i], t_span, step, varnames=names)

@@ -32,6 +32,7 @@ identically; the report carries both so the agreement stays observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -158,6 +159,8 @@ class TimePath:
         object.__setattr__(self, "waypoints", pts)
         if len(pts) < 2:
             raise BadParams("a path needs at least two waypoints")
+        if not all(math.isfinite(v) for w in pts for v in w):
+            raise BadParams(f"waypoints must be finite, got {pts}")
         dims = {len(w) for w in pts}
         if len(dims) != 1:
             raise DimensionMismatch(f"waypoints of mixed dimension {sorted(dims)}")
@@ -245,7 +248,7 @@ def curvature_residual(sys: PDELieSystem) -> CurvatureReport:
         return CurvatureReport(0.0, exact=True, npoints=0)
     pts = time_grid(sys)
     kernel = compile_numeric(list(entries.values()), sys.times)
-    vals = [kernel(row) for row in pts]
+    vals = [kernel(row) for row in pts.tolist()]
     worst_val = 0.0
     worst_key: Optional[Tuple[int, int, int]] = None
     # entry-major, so that a tie keeps the first entry reaching the worst
@@ -332,8 +335,8 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
     if path.s != sys.s:
         raise DimensionMismatch(
             f"path in {path.s} time dimensions, system has {sys.s}")
-    n = len(sys.vars)
-    drifts = compile_numeric([c for l in range(sys.s)
+    n, s = len(sys.vars), sys.s
+    drifts = compile_numeric([c for l in range(s)
                               for c in sys.drift_field(l).components],
                              sys.times + sys.vars)
 
@@ -342,13 +345,20 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
     err_parts: List[np.ndarray] = []
     y = np.asarray(x0, dtype=float)
     for i in range(path.nseg):
-        w0 = np.asarray(path.waypoints[i], dtype=float)
-        d = np.asarray(path.waypoints[i + 1], dtype=float) - w0
+        w0 = list(path.waypoints[i])
+        d = [b - a for a, b in zip(w0, path.waypoints[i + 1])]
 
         def rhs(u, yy, w0=w0, d=d):
-            vals = drifts(np.concatenate([w0 + u * d, yy]))
-            return np.array([sum(d[l] * vals[l * n + j] for l in range(sys.s))
-                             for j in range(n)])
+            vals = drifts([a + u * b for a, b in zip(w0, d)] + yy.tolist())
+            # left to right from 0, not sum(): from Python 3.12 on, sum()
+            # compensates when its items are exact floats
+            out = []
+            for j in range(n):
+                acc = 0
+                for dl, v in zip(d, vals[j::n]):
+                    acc = acc + dl * v
+                out.append(acc)
+            return out
 
         leg = rk4_solve(rhs, y, (0.0, 1.0), 1.0 / path.steps,
                         varnames=sys.vars, excluded=sys.excluded)
@@ -445,9 +455,8 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
                              sysf.times + sysf.vars)
     m, r = values.shape
     dvalues = np.empty((m, r, sysf.s))
-    for k in range(m):
-        vals = drifts(np.concatenate([tpoints[k], values[k]]))
-        dvalues[k] = np.reshape(vals, (sysf.s, r)).T
+    for k, args in enumerate(np.hstack([tpoints, values]).tolist()):
+        dvalues[k] = np.reshape(drifts(args), (sysf.s, r)).T
     return PDESymmetryCandidate.sampled(tpoints, values, dvalues,
                                         times=sysf.times)
 
@@ -540,12 +549,9 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
     worst = 0.0
     jet_worst = 0.0
     gap = 0.0
-    args = np.empty(len(joint))
-    for tp in pts:
-        args[:sys.s] = tp
+    for tp in pts.tolist():
         for x in xs:
-            args[sys.s:] = x
-            vals = kernel(args)
+            vals = kernel(tp + x)
             for bv, jv in zip(vals[:m], vals[m:]):
                 worst = max(worst, _magnitude(bv))
                 jet_worst = max(jet_worst, _magnitude(jv))
@@ -566,18 +572,14 @@ def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
     xs = _sample_states(sys.default_box(), nx, seed)
     idx = _thin(len(cand.tpoints), nt)
     worst = 0.0
-    args = np.empty(s + len(sys.vars))
     for k in idx:
-        tp = cand.tpoints[k]
-        fv = cand.values[k]
-        dv = cand.dvalues[k]
-        bv = np.reshape(b_kernel(tp), (r, s))
-        weights = [list(dv[:, l]) + _pair_weights(bv[:, l], fv)
-                   for l in range(s)]
-        args[:s] = tp
+        tp = cand.tpoints[k].tolist()
+        fv = cand.values[k].tolist()
+        dv = cand.dvalues[k].T.tolist()
+        bv = np.reshape(b_kernel(tp), (r, s)).T.tolist()
+        weights = [dv[l] + _pair_weights(bv[l], fv) for l in range(s)]
         for x in xs:
-            args[s:] = x
-            vals = kernel(args)
+            vals = kernel(tp + x)
             for l in range(s):
                 worst = max(worst, residual(weights[l], vals))
     return PDESymmetryReport(worst, exact=False, npoints=len(idx) * len(xs))

@@ -208,6 +208,41 @@ def test_integrate_pole_exit(tmp_path):
     assert code == EXIT_POLE
 
 
+def test_integrate_overflowing_power_is_pole(tmp_path, capsys):
+    src = write_json(tmp_path / "pow.json", {
+        "vars": ["x"], "basis": [["x^200"]], "coeffs": ["1"]})
+    code, _ = run_cli("integrate", "--input", src, "--x0=100",
+                      "--t-span", "0:1", "--out", str(tmp_path / "o.csv"))
+    assert code == EXIT_POLE
+    assert "right-hand side exceeded 1e+12 at t=0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", ["0:nan", "0:inf", "nan:1"])
+def test_integrate_non_finite_t_span_is_usage(tmp_path, span):
+    code, out = run_cli("integrate", "--catalog", "riccati",
+                        "--param", "eta=1", "--x0=0.1", "--t-span", span,
+                        "--out", str(tmp_path / "o.csv"))
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_integrate_non_finite_x0_is_usage(tmp_path):
+    code, _ = run_cli("integrate", "--catalog", "riccati",
+                      "--param", "eta=1", "--x0=nan",
+                      "--out", str(tmp_path / "o.csv"))
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_pde_non_finite_waypoint_is_usage(tmp_path, bad):
+    # Python's json reads NaN and Infinity
+    path = tmp_path / "path.json"
+    path.write_text('{"waypoints": [[0, 0], [1, %s]]}' % bad)
+    code, _ = run_cli("pde", "--catalog", "partial_riccati", "--x0", "0.2",
+                      "--path", str(path), "--out", str(tmp_path / "p.csv"))
+    assert code == EXIT_USAGE
+
+
 def test_pde_flat_default(tmp_path):
     rep = tmp_path / "r.json"
     code, out = run_cli("pde", "--catalog", "partial_riccati",

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,3 +284,11 @@ def test_compile_numeric_vanishing_denominator_in_any_entry(position):
     assert kernel([2.0, 1.0])[position] == pytest.approx(math.log(2.0) / 2)
     with pytest.raises(DivisionByZero):
         kernel([0.0, 1.0])
+
+
+def test_compile_numeric_overflow_gives_float64_infinities():
+    kernel = compile_numeric([x ** 201, x ** 200, 2 * x ** 200 - x ** 201], ["x"])
+    want = [-math.inf, math.inf, math.inf]
+    assert kernel([-100.0]) == want
+    with np.errstate(over="ignore"):
+        assert kernel(np.array([-100.0])) == want

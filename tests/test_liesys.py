@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from liesym import make
-from liesym.errors import DependentInitialConditions, DimensionMismatch, GridEmpty
+from liesym.errors import (
+    DependentInitialConditions,
+    DimensionMismatch,
+    GridEmpty,
+    PoleEncountered,
+)
 from liesym.expr import Expr, OpaqueFunction, ZeroStatus
 from liesym.liealg import LieAlgebraBasis, StructureTensor
 from liesym.liesys import (
@@ -657,3 +662,12 @@ def test_single_time_is_the_one_time_case(source):
         assert y.components[0].is_zero() is ZeroStatus.ZERO
         assert VectorField(y.vars[1:], y.components[1:]) == y_pde
     assert tuple((c,) for c in y_coeffs) == built_pde.coeffs
+
+
+def test_overflowing_power_reads_as_pole():
+    # x^200 at x = 100 overflows a double; float64 gives inf, a pole at t0
+    sys = LieSystem(LieAlgebraBasis([VectorField(("x",), [Expr.var("x") ** 200])]),
+                    (1,))
+    with pytest.raises(PoleEncountered) as info:
+        integrate(sys, [100.0], (0.0, 1.0), 1e-3)
+    assert info.value.t == 0.0

@@ -154,6 +154,12 @@ def test_time_path_validation():
     assert np.allclose(path.point(2.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_time_path_rejects_non_finite_waypoints(bad):
+    with pytest.raises(BadParams):
+        TimePath(((0.0, 0.0), (1.0, bad)))
+
+
 # -- construction --------------------------------------------------------
 
 
