@@ -27,7 +27,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .catalog import _FACTORIES, CatalogEntry, make, names
@@ -83,39 +82,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run depends on, validated up front."""
-
-    subcommand: str
-    catalog: Optional[str] = None
-    input: Optional[str] = None
-    params: Tuple[Tuple[str, str], ...] = ()
-    t_span: Tuple[float, float] = (0.0, 1.0)
-    step: float = 1e-3
-    tol: float = 1e-6
-    agree_tol: float = 1e-6
-    seed: int = 0
-    out: Optional[str] = None
-    report: Optional[str] = None
-    b0: Optional[str] = None
-    f_init: Optional[Tuple[float, ...]] = None
-    x0: Optional[Tuple[float, ...]] = None
-    candidate: Optional[str] = None
-    family: Optional[str] = None
-    path: Optional[str] = None
-    name: Optional[str] = None
-    check_gauge: bool = True
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise UsageError("step must be positive")
-        if self.tol <= 0 or self.agree_tol <= 0:
-            raise UsageError("tolerances must be positive")
-        if self.t_span[1] == self.t_span[0]:
-            raise UsageError("t-span must have nonzero length")
 
 
 # -- input documents ------------------------------------------------------------
@@ -188,14 +154,14 @@ def _make_entry(name: str, params: Sequence[Tuple[str, str]]) -> CatalogEntry:
                          for k, v in params})
 
 
-def _resolve_system(cfg: RunConfig):
+def _resolve_system(args: argparse.Namespace):
     """Returns (system, entry-or-None) from --catalog or --input."""
-    if cfg.catalog is not None:
-        entry = _make_entry(cfg.catalog, cfg.params)
+    if args.catalog is not None:
+        entry = _make_entry(args.catalog, args.param)
         return entry.system, entry
-    if cfg.input is None:
+    if args.input is None:
         raise UsageError("give --catalog NAME or --input FILE")
-    return _system_from_doc(_load_doc(cfg.input)), None
+    return _system_from_doc(_load_doc(args.input)), None
 
 
 def _candidate_from_doc(doc: dict, pde: bool):
@@ -266,15 +232,15 @@ def _report_payload(rep) -> dict:
 
 # -- subcommands -----------------------------------------------------------------
 
-def _cmd_list(cfg: RunConfig, stdout) -> int:
+def _cmd_list(args: argparse.Namespace, stdout) -> int:
     for n in names():
         entry = make(n)
         print(f"{n:16s} {entry.kind:4s} {entry.description}", file=stdout)
     return EXIT_OK
 
 
-def _cmd_show(cfg: RunConfig, stdout) -> int:
-    entry = _make_entry(cfg.name, cfg.params)
+def _cmd_show(args: argparse.Namespace, stdout) -> int:
+    entry = _make_entry(args.name, args.param)
     sysobj = entry.system
     print(f"name: {entry.name}", file=stdout)
     print(f"kind: {entry.kind}", file=stdout)
@@ -307,8 +273,8 @@ def _cmd_show(cfg: RunConfig, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_check_algebra(cfg: RunConfig, stdout) -> int:
-    sysobj, _ = _resolve_system(cfg)
+def _cmd_check_algebra(args: argparse.Namespace, stdout) -> int:
+    sysobj, _ = _resolve_system(args)
     tensor, method = sysobj.algebra.tensor, sysobj.algebra.method
     jac = jacobi_residual(tensor)
     cdim = len(center(tensor))
@@ -319,68 +285,68 @@ def _cmd_check_algebra(cfg: RunConfig, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_symmetrize(cfg: RunConfig, stdout) -> int:
-    sysobj, _ = _resolve_system(cfg)
+def _cmd_symmetrize(args: argparse.Namespace, stdout) -> int:
+    sysobj, _ = _resolve_system(args)
     if isinstance(sysobj, PDELieSystem):
         raise UsageError("multi-time systems go through the pde subcommand")
-    if cfg.b0 is not None:
-        gauge = parse(cfg.b0, [sysobj.time],
-                      registry=_opaque_registry([cfg.b0]))
+    if args.b0 is not None:
+        gauge = parse(args.b0, [sysobj.time],
+                      registry=_opaque_registry([args.b0]))
         sysobj = dataclasses.replace(sysobj, gauge=gauge)
     built = build_symmetry_system(sysobj)
-    f_init = cfg.f_init if cfg.f_init is not None else (0.0,) * (sysobj.r + 1)
+    f_init = args.f_init if args.f_init is not None else (0.0,) * (sysobj.r + 1)
     if len(f_init) != sysobj.r + 1:
         raise UsageError(
             f"f-init needs {sysobj.r + 1} values (f0 .. f{sysobj.r}), "
             f"got {len(f_init)}")
-    traj = integrate(built.system, f_init, cfg.t_span, cfg.step)
-    out = cfg.out or "symmetrize.csv"
+    traj = integrate(built.system, f_init, args.t_span, args.step)
+    out = args.out or "symmetrize.csv"
     _write_csv(out, (sysobj.time,) + built.system.vars + ("err_est",),
                _trajectory_rows(traj))
     cand = candidate_from_trajectory(built, traj)
-    rep = symmetry_residual(cand, sysobj, seed=cfg.seed)
-    verdict = "PASS" if float(rep) <= cfg.tol else "FAIL"
+    rep = symmetry_residual(cand, sysobj, seed=args.seed)
+    verdict = "PASS" if float(rep) <= args.tol else "FAIL"
     print(f"wrote {out} ({len(traj.ts)} rows)", file=stdout)
     print(f"symmetry residual max {float(rep):.6e} "
-          f"(exact={rep.exact}, tol {cfg.tol:g}): {verdict}", file=stdout)
+          f"(exact={rep.exact}, tol {args.tol:g}): {verdict}", file=stdout)
     return EXIT_OK if verdict == "PASS" else EXIT_CHECK
 
 
-def _cmd_verify(cfg: RunConfig, stdout) -> int:
-    sysobj, entry = _resolve_system(cfg)
+def _cmd_verify(args: argparse.Namespace, stdout) -> int:
+    sysobj, entry = _resolve_system(args)
     pde = isinstance(sysobj, PDELieSystem)
-    if cfg.family is not None:
+    if args.family is not None:
         if entry is None:
             raise UsageError("--family needs --catalog")
-        match = [f for f in entry.families if f.name == cfg.family]
+        match = [f for f in entry.families if f.name == args.family]
         if not match:
             known = ", ".join(f.name for f in entry.families) or "none"
-            raise UsageError(f"no family {cfg.family!r}; known: {known}")
+            raise UsageError(f"no family {args.family!r}; known: {known}")
         cand = match[0].candidate
-    elif cfg.candidate is not None:
-        cand = _candidate_from_doc(_load_doc(cfg.candidate), pde)
+    elif args.candidate is not None:
+        cand = _candidate_from_doc(_load_doc(args.candidate), pde)
     else:
         raise UsageError("give --family NAME or --candidate FILE")
     if pde:
-        rep = pde_symmetry_residual(cand, sysobj, seed=cfg.seed)
+        rep = pde_symmetry_residual(cand, sysobj, seed=args.seed)
     else:
-        rep = symmetry_residual(cand, sysobj, seed=cfg.seed,
-                                check_gauge=cfg.check_gauge)
-    verdict = "PASS" if float(rep) <= cfg.tol else "FAIL"
+        rep = symmetry_residual(cand, sysobj, seed=args.seed,
+                                check_gauge=not args.no_gauge_check)
+    verdict = "PASS" if float(rep) <= args.tol else "FAIL"
     print(f"symmetry residual max {float(rep):.6e} "
-          f"(exact={rep.exact}, tol {cfg.tol:g}): {verdict}", file=stdout)
+          f"(exact={rep.exact}, tol {args.tol:g}): {verdict}", file=stdout)
     return EXIT_OK if verdict == "PASS" else EXIT_CHECK
 
 
-def _cmd_integrate(cfg: RunConfig, stdout) -> int:
-    sysobj, _ = _resolve_system(cfg)
+def _cmd_integrate(args: argparse.Namespace, stdout) -> int:
+    sysobj, _ = _resolve_system(args)
     if isinstance(sysobj, PDELieSystem):
         raise UsageError("multi-time systems go through the pde subcommand")
-    x0 = cfg.x0 if cfg.x0 is not None else (0.0,) * len(sysobj.vars)
+    x0 = args.x0 if args.x0 is not None else (0.0,) * len(sysobj.vars)
     if len(x0) != len(sysobj.vars):
         raise UsageError(f"x0 needs {len(sysobj.vars)} values, got {len(x0)}")
-    traj = integrate(sysobj, x0, cfg.t_span, cfg.step)
-    out = cfg.out or "integrate.csv"
+    traj = integrate(sysobj, x0, args.t_span, args.step)
+    out = args.out or "integrate.csv"
     _write_csv(out, (sysobj.time,) + sysobj.vars + ("err_est",),
                _trajectory_rows(traj))
     print(f"wrote {out} ({len(traj.ts)} rows)", file=stdout)
@@ -398,17 +364,17 @@ def _staircase(s: int, reverse: bool) -> TimePath:
     return TimePath(tuple(waypoints), steps=200)
 
 
-def _cmd_pde(cfg: RunConfig, stdout) -> int:
-    sysobj, _ = _resolve_system(cfg)
+def _cmd_pde(args: argparse.Namespace, stdout) -> int:
+    sysobj, _ = _resolve_system(args)
     if not isinstance(sysobj, PDELieSystem) or sysobj.s < 2:
         raise UsageError("the pde subcommand needs a system with at least "
                          "two time directions; use symmetrize/integrate "
                          "for a single time")
-    x0 = cfg.x0 if cfg.x0 is not None else (0.0,) * len(sysobj.vars)
+    x0 = args.x0 if args.x0 is not None else (0.0,) * len(sysobj.vars)
     if len(x0) != len(sysobj.vars):
         raise UsageError(f"x0 needs {len(sysobj.vars)} values, got {len(x0)}")
-    if cfg.path is not None:
-        path_a = _path_from_doc(_load_doc(cfg.path))
+    if args.path is not None:
+        path_a = _path_from_doc(_load_doc(args.path))
         path_b = TimePath((path_a.waypoints[0], path_a.waypoints[-1]),
                           steps=path_a.steps)
     else:
@@ -425,34 +391,34 @@ def _cmd_pde(cfg: RunConfig, stdout) -> int:
     integrable = True
     built_curv = None
     try:
-        built = build_pde_symmetry_system(sysobj, tol=cfg.tol)
+        built = build_pde_symmetry_system(sysobj, tol=args.tol)
         built_curv = curvature_residual(built.system)
     except NotIntegrable:
         integrable = False
 
-    out = cfg.out or "pde.csv"
+    out = args.out or "pde.csv"
     _write_csv(out, ("u",) + sysobj.vars + ("err_est",),
                _trajectory_rows(traj_a))
-    code = EXIT_OK if integrable and gap <= cfg.agree_tol else EXIT_CHECK
+    code = EXIT_OK if integrable and gap <= args.agree_tol else EXIT_CHECK
     payload = {
         "curvature": _report_payload(curv),
         "endpoint_a": end_a,
         "endpoint_b": end_b,
         "endpoint_gap": gap,
-        "agree_tol": cfg.agree_tol,
+        "agree_tol": args.agree_tol,
         "integrable": integrable,
         "built_curvature": (_report_payload(built_curv)
                             if built_curv is not None else None),
         "exit": code,
     }
-    report = cfg.report or "pde_report.json"
+    report = args.report or "pde_report.json"
     with open(report, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {out} ({len(traj_a.ts)} rows) and {report}", file=stdout)
     print(f"curvature max {float(curv):.6e} (exact={curv.exact})",
           file=stdout)
-    print(f"endpoint gap {gap:.6e} (tol {cfg.agree_tol:g}); "
+    print(f"endpoint gap {gap:.6e} (tol {args.agree_tol:g}); "
           f"integrable={integrable}", file=stdout)
     return code
 
@@ -493,7 +459,21 @@ def _span(text: str) -> Tuple[float, float]:
         values = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return _finite(values)
+    a, b = _finite(values)
+    if a == b:
+        raise argparse.ArgumentTypeError("t-span must have nonzero length")
+    return a, b
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return value
 
 
 def _kv(text: str) -> Tuple[str, str]:
@@ -503,6 +483,21 @@ def _kv(text: str) -> Tuple[str, str]:
     return key, value
 
 
+# options that several subcommands declare, each with its one default
+_SHARED = {
+    "--catalog": dict(help="built-in system name"),
+    "--input": dict(help="system definition JSON file"),
+    "--param": dict(action="append", type=_kv, default=[],
+                    metavar="KEY=VALUE", help="catalog entry parameter"),
+    "--t-span": dict(type=_span, default=(0.0, 1.0), metavar="A:B"),
+    "--step": dict(type=_positive, default=1e-3),
+    "--seed": dict(type=int, help="sampling seed; default env LIESYM_SEED or 0"),
+    "--out": dict(help="CSV output path"),
+    "--x0": dict(type=_floats, metavar="X1,X2,..."),
+}
+_SOURCE = ("--catalog", "--input", "--param")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="liesym",
@@ -510,110 +505,62 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of Lie systems.")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add_source(p):
-        p.add_argument("--catalog", help="built-in system name")
-        p.add_argument("--input", help="system definition JSON file")
-        p.add_argument("--param", action="append", type=_kv, default=[],
-                       metavar="KEY=VALUE", help="catalog entry parameter")
+    def command(name, help, *shared, tol=None):
+        """A subcommand with the given _SHARED options, plus --tol when
+        tol is (default, help)."""
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        if tol is not None:
+            p.add_argument("--tol", type=_positive, default=tol[0],
+                           help=f"{tol[1]} (default {tol[0]:g})")
+        return p
 
-    def add_run(p):
-        p.add_argument("--t-span", type=_span, default=(0.0, 1.0),
-                       metavar="A:B")
-        p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="residual tolerance (default 1e-6)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed; default env LIESYM_SEED or 0")
-        p.add_argument("--out", help="CSV output path")
+    residual = (1e-6, "residual tolerance")
+    command("list", "enumerate built-in systems")
+    command("show", "print one entry in full", "--param").add_argument("name")
+    command("check-algebra", "closure, tensor, Jacobi, center", *_SOURCE)
 
-    sub.add_parser("list", help="enumerate built-in systems")
-
-    p = sub.add_parser("show", help="print one entry in full")
-    p.add_argument("name")
-    p.add_argument("--param", action="append", type=_kv, default=[],
-                   metavar="KEY=VALUE")
-
-    p = sub.add_parser("check-algebra",
-                       help="closure, tensor, Jacobi, center")
-    add_source(p)
-
-    p = sub.add_parser("symmetrize",
-                       help="build and integrate the symmetry system")
-    add_source(p)
-    add_run(p)
+    p = command("symmetrize", "build and integrate the symmetry system",
+                *_SOURCE, "--t-span", "--step", "--seed", "--out",
+                tol=residual)
     p.add_argument("--b0", help="gauge override, expression in t")
     p.add_argument("--f-init", type=_floats, metavar="F0,F1,...",
                    help="initial symmetry channels (default zeros)")
 
-    p = sub.add_parser("verify", help="residual check of a candidate")
-    add_source(p)
+    p = command("verify", "residual check of a candidate", *_SOURCE, "--seed",
+                tol=residual)
     p.add_argument("--candidate", help="candidate JSON file")
     p.add_argument("--family", help="bundled family name")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-gauge-check", action="store_true",
                    help="skip the f0' vs declared-gauge comparison")
 
-    p = sub.add_parser("integrate", help="integrate the system itself")
-    add_source(p)
-    add_run(p)
-    p.add_argument("--x0", type=_floats, metavar="X1,X2,...")
+    command("integrate", "integrate the system itself",
+            *_SOURCE, "--t-span", "--step", "--out", "--x0")
 
-    p = sub.add_parser("pde", help="multi-time checks and path comparison")
-    add_source(p)
-    p.add_argument("--x0", type=_floats, metavar="X1,X2,...")
+    p = command("pde", "multi-time checks and path comparison",
+                *_SOURCE, "--x0", "--out",
+                tol=(1e-9, "curvature tolerance for the builder"))
     p.add_argument("--path", help="path JSON file (compared to the chord)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="curvature tolerance for the builder (default 1e-9)")
-    p.add_argument("--agree-tol", type=float, default=1e-6,
+    p.add_argument("--agree-tol", type=_positive, default=1e-6,
                    help="endpoint agreement tolerance (default 1e-6)")
-    p.add_argument("--out", help="CSV output path")
     p.add_argument("--report", help="JSON report path")
-    p.add_argument("--seed", type=int, default=None)
     return top
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        try:
-            seed = int(os.environ.get("LIESYM_SEED", "0"))
-        except ValueError:
-            raise UsageError("LIESYM_SEED must be an integer")
-    return RunConfig(
-        subcommand=args.subcommand,
-        catalog=getattr(args, "catalog", None),
-        input=getattr(args, "input", None),
-        params=tuple(getattr(args, "param", []) or []),
-        t_span=getattr(args, "t_span", (0.0, 1.0)),
-        step=getattr(args, "step", 1e-3),
-        tol=getattr(args, "tol", 1e-6),
-        agree_tol=getattr(args, "agree_tol", 1e-6),
-        seed=seed,
-        out=getattr(args, "out", None),
-        report=getattr(args, "report", None),
-        b0=getattr(args, "b0", None),
-        f_init=getattr(args, "f_init", None),
-        x0=getattr(args, "x0", None),
-        candidate=getattr(args, "candidate", None),
-        family=getattr(args, "family", None),
-        path=getattr(args, "path", None),
-        name=getattr(args, "name", None),
-        check_gauge=not getattr(args, "no_gauge_check", False),
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg, stdout)
-    except UsageError as exc:
-        print(f"liesym: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UnknownName, BadParams, OpaqueNoEvaluator, UnboundSymbol) as exc:
+        # --seed where the subcommand has it, else LIESYM_SEED, else 0
+        if vars(args).get("seed") is None:
+            try:
+                args.seed = int(os.environ.get("LIESYM_SEED", "0"))
+            except ValueError:
+                raise UsageError("LIESYM_SEED must be an integer")
+        return _COMMANDS[args.subcommand](args, stdout)
+    except (UsageError, UnknownName, BadParams, OpaqueNoEvaluator,
+            UnboundSymbol) as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

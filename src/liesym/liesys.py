@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import rlinalg
 from .errors import (
     DependentInitialConditions,
     DimensionMismatch,
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .expr import Expr, ZeroStatus, compile_numeric
 from .integrate import Trajectory, cumulative_simpson, rk4_solve
-from .liealg import LieAlgebraBasis, StructureTensor, field_rank, match_in_span
+from .liealg import LieAlgebraBasis, StructureTensor, center
 from .vectorfield import VectorField, autonomize, lie_bracket
 
 
@@ -130,24 +132,30 @@ def _y_generators(tensor: StructureTensor,
             for unit in np.eye(r, dtype=int).tolist()]
 
 
-def _fold_generators(y_fields: Sequence[VectorField],
+def _fold_generators(tensor: StructureTensor,
+                     y_fields: Sequence[VectorField],
                      rows: Sequence[Sequence[Expr]]
                      ) -> Tuple[List[VectorField], List[List[Expr]]]:
-    """Drop zero generators and fold dependent ones into the kept ones.
+    """Fold dependent generators, zero ones included, into the kept ones.
 
-    rows[a] holds the coefficients of y_fields[a], one per time direction;
-    a generator equal to sum_j c_j kept[j] adds c_j times its row to the
-    row of kept[j], which leaves the combined field unchanged.
+    y_fields are the Y_a of the tensor, whose exact coefficients c_bag of
+    f_b d/df_g, flattened over (b, g), are the vectors a dependency is
+    solved on.  rows[a] holds the coefficients of y_fields[a], one per
+    time direction; a generator equal to sum_j c_j kept[j] adds c_j times
+    its row to the row of kept[j], which leaves the combined field
+    unchanged.
     """
+    r = tensor.r
     kept: List[VectorField] = []
     kept_rows: List[List[Expr]] = []
-    for y, row in zip(y_fields, rows):
-        if y.is_zero() is ZeroStatus.ZERO:
-            continue
-        combo = match_in_span(kept, y) if kept else None
+    kept_vecs: List[List[Fraction]] = []
+    for a, (y, row) in enumerate(zip(y_fields, rows)):
+        vec = [tensor.c(b, a, g) for b in range(r) for g in range(r)]
+        combo = rlinalg.solve(list(zip(*kept_vecs)), vec)
         if combo is None:
             kept.append(y)
             kept_rows.append(list(row))
+            kept_vecs.append(vec)
             continue
         for j, c in enumerate(combo):
             if c:
@@ -204,8 +212,9 @@ def build_symmetry_system(sys: LieSystem) -> SymmetrySystem:
     t = sys.time
     b = sys.coeffs
     b0 = sys.gauge
-    z_fields, w_fields, y_fields = symmetry_system_basis(sys.algebra.tensor)
-    kept, kept_rows = _fold_generators(y_fields, [[ba] for ba in b])
+    tensor = sys.algebra.tensor
+    z_fields, w_fields, y_fields = symmetry_system_basis(tensor)
+    kept, kept_rows = _fold_generators(tensor, y_fields, [[ba] for ba in b])
 
     fields = list(z_fields) + list(w_fields) + kept
     coeffs = ([b0] + [b0 * ba for ba in b] + [ba.diff(t) for ba in b]
@@ -219,12 +228,7 @@ def build_symmetry_system(sys: LieSystem) -> SymmetrySystem:
 
 def vertical_symmetry_dimension(tensor: StructureTensor) -> int:
     """Rank of the span of the Y fields: r minus the center dimension."""
-    names = tuple(f"f{i}" for i in range(1, tensor.r + 1))
-    nonzero = [y for y in _y_generators(tensor, names)
-               if y.is_zero() is not ZeroStatus.ZERO]
-    if not nonzero:
-        return 0
-    return field_rank(nonzero)
+    return tensor.r - len(center(tensor))
 
 
 # -- candidates --------------------------------------------------------------

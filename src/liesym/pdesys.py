@@ -289,16 +289,19 @@ def build_pde_symmetry_system(sys: PDELieSystem,
     into the kept ones exactly, as in the single-time builder; when the
     algebra is abelian every generator vanishes and the result keeps
     unit translation fields with zero coefficients so the zero dynamics
-    stays a well-formed system.
+    stays a well-formed system.  tol must be finite and positive.
     """
+    if not 0 < tol < math.inf:
+        raise BadParams(f"tol must be finite and positive, got {tol}")
     rep = curvature_residual(sys)
     if not rep.max_abs <= tol:
         raise NotIntegrable(
             f"curvature residual {rep.max_abs:g} exceeds {tol:g}"
             + (f" at entry {rep.worst}" if rep.worst else ""),
             residual=rep.max_abs)
-    y_fields = pde_symmetry_basis(sys.algebra.tensor)
-    kept, kept_rows = _fold_generators(y_fields, sys.coeffs)
+    tensor = sys.algebra.tensor
+    y_fields = pde_symmetry_basis(tensor)
+    kept, kept_rows = _fold_generators(tensor, y_fields, sys.coeffs)
     if not kept:
         for i, y in enumerate(y_fields):
             comps = [Expr.zero()] * sys.r

@@ -233,6 +233,56 @@ def test_integrate_non_finite_x0_is_usage(tmp_path):
     assert code == EXIT_USAGE
 
 
+NON_SYMMETRY = {"time": "t", "f": ["0", "1", "0", "0"]}
+
+
+@pytest.mark.parametrize("argv", [
+    # residual near 4: an infinite tolerance would pass it
+    ["verify", "--catalog", "riccati", "--param", "eta=t",
+     "--candidate", "CANDIDATE", "--tol", "inf"],
+    # exact symmetry and flat system: a NaN tolerance would fail them
+    ["verify", "--catalog", "dbh", "--family", "b0_zero", "--tol", "nan"],
+    ["pde", "--catalog", "partial_riccati", "--x0", "0.2",
+     "--agree-tol", "nan"],
+    ["pde", "--catalog", "partial_riccati", "--x0", "0.2", "--tol", "nan"],
+])
+def test_tolerance_must_be_finite_and_positive(tmp_path, monkeypatch, capsys,
+                                               argv):
+    monkeypatch.chdir(tmp_path)
+    cand = write_json(tmp_path / "c.json", NON_SYMMETRY)
+    code, out = run_cli(*[cand if a == "CANDIDATE" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, out
+    assert err == (f"liesym {argv[0]}: error: argument {argv[-2]}: "
+                   f"must be finite and positive, got {argv[-1]}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("bad", [["--step", "inf"], ["--t-span", "1:1"]])
+def test_infinite_step_and_empty_span_are_usage(tmp_path, capsys, bad):
+    code, _ = run_cli("integrate", "--catalog", "riccati", "--param", "eta=1",
+                      "--out", str(tmp_path / "o.csv"), *bad)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "error: " in err and err.count("\n") == 1, err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--catalog", "riccati", "--param", "eta=1", "--tol", "1e-6"],
+    ["integrate", "--catalog", "riccati", "--param", "eta=1", "--seed", "1"],
+    ["pde", "--catalog", "partial_riccati", "--x0", "0.2", "--seed", "1"],
+])
+def test_options_a_subcommand_does_not_read_are_usage(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(*argv)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"liesym: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
 def test_pde_non_finite_waypoint_is_usage(tmp_path, bad):
     # Python's json reads NaN and Infinity

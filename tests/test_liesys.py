@@ -2,23 +2,31 @@
 sides, closed-form symmetry families, and the bracket oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from liesym import make
+from liesym import make, names
 from liesym.errors import (
+    DependentBasis,
     DependentInitialConditions,
     DimensionMismatch,
     GridEmpty,
     PoleEncountered,
 )
 from liesym.expr import Expr, OpaqueFunction, ZeroStatus
-from liesym.liealg import LieAlgebraBasis, StructureTensor
+from liesym.liealg import (
+    LieAlgebraBasis,
+    StructureTensor,
+    match_in_span,
+    transform_tensor,
+)
 from liesym.liesys import (
     LieSystem,
     SymmetryCandidate,
+    _fold_generators,
     aff_closed_form,
     build_symmetry_system,
     candidate_bracket,
@@ -32,7 +40,11 @@ from liesym.liesys import (
     symmetry_system_basis,
     vertical_symmetry_dimension,
 )
-from liesym.pdesys import PDELieSystem, build_pde_symmetry_system
+from liesym.pdesys import (
+    PDELieSystem,
+    build_pde_symmetry_system,
+    pde_symmetry_basis,
+)
 from liesym.vectorfield import VectorField, lie_bracket
 
 
@@ -226,6 +238,62 @@ def test_built_algebra_dimension():
     x = Expr.var("x")
     aff = LieAlgebraBasis([VectorField(X, [1]), VectorField(X, [x])])
     assert build_symmetry_system(LieSystem(aff, (eta, 1))).system.r == 7
+
+
+def reference_fold(y_fields, rows):
+    """Fold on the fields themselves: match each nonzero Y against the
+    kept ones by exact monomial coefficients."""
+    kept, kept_rows = [], []
+    for y, row in zip(y_fields, rows):
+        if y.is_zero() is ZeroStatus.ZERO:
+            continue
+        combo = match_in_span(kept, y) if kept else None
+        if combo is None:
+            kept.append(y)
+            kept_rows.append(list(row))
+            continue
+        for j, c in enumerate(combo):
+            if c:
+                kept_rows[j] = [k + Expr.const(c) * e
+                                for k, e in zip(kept_rows[j], row)]
+    return kept, kept_rows
+
+
+def fold_tensors():
+    """Catalog tensors, Heisenberg, abelian, aff + line, and seeded
+    rational conjugates of each small one."""
+    tensors = {n: make(n).expected for n in names()}
+    tensors["heisenberg"] = StructureTensor.from_triples(3, [[1, 2, 3, "1"]])
+    tensors["abelian"] = StructureTensor(3, {})
+    tensors["aff_plus_line"] = StructureTensor.from_triples(3, [[1, 2, 1, "1"]])
+    rng = random.Random(11)
+    for name in ("riccati", "heisenberg", "abelian", "aff_plus_line"):
+        base = tensors[name]
+        for k in range(3):
+            while True:
+                mat = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(base.r)] for _ in range(base.r)]
+                try:
+                    tensors[f"{name}_conj{k}"] = transform_tensor(base, mat)
+                    break
+                except DependentBasis:
+                    continue
+    return tensors
+
+
+def test_fold_on_coefficient_rows_matches_the_field_fold():
+    t = Expr.var("t")
+    folded = 0
+    for name, tensor in fold_tensors().items():
+        rows = [[t ** (a + 1), Expr.const(a + 2) * t] for a in range(tensor.r)]
+        for y_fields in (symmetry_system_basis(tensor)[2],
+                         pde_symmetry_basis(tensor)):
+            want = reference_fold(y_fields, rows)
+            assert _fold_generators(tensor, y_fields, rows) == want, name
+            # the kept fields of the reference fold span the Y fields
+            assert len(want[0]) == vertical_symmetry_dimension(tensor), name
+        folded += 0 < len(want[0]) < tensor.r
+    assert folded >= 6  # the Heisenberg and aff + line families fold
 
 
 def test_vertical_symmetry_dimension():

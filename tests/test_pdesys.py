@@ -23,6 +23,7 @@ from liesym import (
     curvature_residual,
     integrate,
     integrate_along_path,
+    make,
     pde_candidate_from_path,
     pde_symmetry_basis,
     pde_symmetry_residual,
@@ -208,6 +209,14 @@ def test_build_folds_central_direction():
         assert (built.system.coeffs[0][l] - merged).is_zero() is ZeroStatus.ZERO
         assert (built.system.coeffs[1][l] - sys2.coeffs[1][l]).is_zero() \
             is ZeroStatus.ZERO
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_build_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # partial_riccati is flat (curvature exactly 0), so only the check of
+    # tol itself can refuse it
+    with pytest.raises(BadParams):
+        build_pde_symmetry_system(make("partial_riccati").system, tol=tol)
 
 
 def test_build_abelian_gives_zero_dynamics():
