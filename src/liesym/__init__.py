@@ -79,10 +79,8 @@ from .liesys import (
     vertical_symmetry_dimension,
 )
 from .pdesys import (
-    CurvatureReport,
     PDELieSystem,
     PDESymmetryCandidate,
-    PDESymmetryReport,
     PDESymmetrySystem,
     TimePath,
     build_pde_symmetry_system,

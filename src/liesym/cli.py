@@ -293,12 +293,12 @@ def _cmd_symmetrize(args: argparse.Namespace, stdout) -> int:
         gauge = parse(args.b0, [sysobj.time],
                       registry=_opaque_registry([args.b0]))
         sysobj = dataclasses.replace(sysobj, gauge=gauge)
-    built = build_symmetry_system(sysobj)
     f_init = args.f_init if args.f_init is not None else (0.0,) * (sysobj.r + 1)
     if len(f_init) != sysobj.r + 1:
         raise UsageError(
             f"f-init needs {sysobj.r + 1} values (f0 .. f{sysobj.r}), "
             f"got {len(f_init)}")
+    built = build_symmetry_system(sysobj)
     traj = integrate(built.system, f_init, args.t_span, args.step)
     out = args.out or "symmetrize.csv"
     _write_csv(out, (sysobj.time,) + built.system.vars + ("err_est",),

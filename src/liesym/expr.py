@@ -397,15 +397,17 @@ class Expr:
         return out
 
     def __eq__(self, other):
+        """Equal as rational functions, num * other.den == other.num * den.
+
+        Equal expressions may differ in form, so an Expr has no hash.
+        """
         try:
             other = Expr._coerce(other)
         except TypeError:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.num.items(), key=lambda kv: _mono_key(kv[0]))),
-                     tuple(sorted(self.den.items(), key=lambda kv: _mono_key(kv[0])))))
+        if self.den == other.den:
+            return self.num == other.num
+        return _p_mul(self.num, other.den) == _p_mul(other.num, self.den)
 
     # -- structure -----------------------------------------------------
 
@@ -784,7 +786,7 @@ def compile_numeric(exprs: Sequence[Expr],
 
 # -- parsing -------------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*/^()@,")
+_TOKEN_CHARS = set("+-*/^()@,'")
 
 
 def _tokenize(text: str):
@@ -903,13 +905,20 @@ class _Parser:
             name = self.take("ident")[1]
             if name not in self.registry:
                 raise ParseError(f"opaque function @{name} is not registered")
+            func = self.registry[name]
+            while self.peek()[0] == "'":
+                func = func.derivative
+                if func is None:
+                    raise ParseError(f"@{name} has no derivative for the prime "
+                                     f"at position {self.peek()[2]}")
+                self.take()
             self.take("(")
             arg = self.take("ident")[1]
             if arg not in self.variables:
                 raise ParseError(
                     f"opaque argument {arg} is not a declared variable")
             self.take(")")
-            return Expr.opaque(self.registry[name], arg)
+            return Expr.opaque(func, arg)
         if kind == "ident":
             self.take()
             if value in self.variables:

@@ -81,6 +81,16 @@ def _max_abs_diff(u, v) -> float:
     return worst
 
 
+def _check_span(t_span: Tuple[float, float], step: float) -> Tuple[float, float]:
+    """t_span as floats; StepNotPositive unless step > 0, BadParams unless finite."""
+    if step <= 0:
+        raise StepNotPositive(f"step must be positive, got {step}")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(step)):
+        raise BadParams(f"t_span {t0:g}:{t1:g} and step {step:g} must be finite")
+    return t0, t1
+
+
 def rk4_solve(rhs: Callable[[float, np.ndarray], Sequence[float]],
               y0: Sequence[float],
               t_span: Tuple[float, float],
@@ -103,12 +113,8 @@ def rk4_solve(rhs: Callable[[float, np.ndarray], Sequence[float]],
     the state leaves [-POLE_LIMIT, POLE_LIMIT] or hits the excluded set.
     A non-finite t_span, y0 or step raises BadParams.
     """
-    if step <= 0:
-        raise StepNotPositive(f"step must be positive, got {step}")
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = _check_span(t_span, step)
     y0_arr = np.asarray(y0, dtype=float).reshape(-1)
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(step)):
-        raise BadParams(f"t_span {t0:g}:{t1:g} and step {step:g} must be finite")
     if not np.all(np.isfinite(y0_arr)):
         raise BadParams(f"initial state {y0_arr.tolist()} must be finite")
     if t1 == t0:

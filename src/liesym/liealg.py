@@ -310,6 +310,17 @@ class LieAlgebraBasis:
     def vars(self) -> Tuple[str, ...]:
         return self.fields[0].vars
 
+    def combination(self, weights: Sequence) -> VectorField:
+        """sum_a weights[a] fields[a], each component summed in basis order from 0."""
+        weights = [Expr._coerce(w) for w in weights]
+        comps = []
+        for i in range(len(self.vars)):
+            acc = Expr.zero()
+            for w, f in zip(weights, self.fields):
+                acc = acc + w * f.components[i]
+            comps.append(acc)
+        return VectorField(self.vars, comps)
+
     def jacobi_residual(self) -> Fraction:
         return jacobi_residual(self.tensor)
 

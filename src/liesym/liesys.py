@@ -31,6 +31,7 @@ import numpy as np
 
 from . import rlinalg
 from .errors import (
+    BadParams,
     DependentInitialConditions,
     DimensionMismatch,
     GridEmpty,
@@ -39,7 +40,7 @@ from .errors import (
     TransportLeftDomain,
 )
 from .expr import Expr, ZeroStatus, compile_numeric
-from .integrate import Trajectory, cumulative_simpson, rk4_solve
+from .integrate import Trajectory, _check_span, cumulative_simpson, rk4_solve
 from .liealg import LieAlgebraBasis, StructureTensor, center
 from .vectorfield import VectorField, autonomize, lie_bracket
 
@@ -79,10 +80,7 @@ class LieSystem:
 
     def drift_field(self) -> VectorField:
         """The field sum_a b_a(t) X_a on state space, time as a parameter."""
-        out = VectorField(self.vars, [0] * len(self.vars))
-        for b, f in zip(self.coeffs, self.algebra.fields):
-            out = out + b * f
-        return out
+        return self.algebra.combination(self.coeffs)
 
     def autonomized(self) -> VectorField:
         """Xbar = d/dt + X(t, x) over (t, x)."""
@@ -234,6 +232,18 @@ def vertical_symmetry_dimension(tensor: StructureTensor) -> int:
 # -- candidates --------------------------------------------------------------
 
 
+def _check_representation(cand, sampled: Tuple[str, ...]) -> None:
+    """A candidate is closed form (f_exprs) or sampled (every named channel)."""
+    present = [getattr(cand, name) is not None for name in sampled]
+    if cand.f_exprs is not None:
+        if any(present):
+            raise DimensionMismatch(
+                "candidate carries both closed-form and sampled data")
+    elif not all(present):
+        raise DimensionMismatch(f"sampled candidate needs "
+                                f"{', '.join(sampled[:-1])} and {sampled[-1]}")
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetryCandidate:
     """A candidate symmetry Y = f0 d/dt + sum_a f_a X_a.
@@ -248,6 +258,9 @@ class SymmetryCandidate:
     grid: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
     dvalues: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _check_representation(self, ("grid", "values", "dvalues"))
 
     @staticmethod
     def closed(f_exprs: Sequence, time: str = "t") -> "SymmetryCandidate":
@@ -314,11 +327,18 @@ def candidate_from_trajectory(built: SymmetrySystem,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of an independent verification."""
+    """Outcome of an independent verification.
+
+    worst locates max_abs where a check names it; a closed-form multi-time
+    check adds its jet route (jet_max_abs) and that route's gap (oracle_gap).
+    """
 
     max_abs: float
     exact: bool
     npoints: int = 0
+    worst: Optional[Tuple[int, ...]] = None
+    jet_max_abs: Optional[float] = None
+    oracle_gap: Optional[float] = None
 
     def __float__(self):
         return float(self.max_abs)
@@ -359,32 +379,35 @@ def _pair_weights(u, v) -> list:
             for a in range(r) for b in range(a + 1, r)]
 
 
-def _bracket_kernel(fields: Sequence[VectorField], order: Sequence[str]):
+def _bracket_residual(fields: Sequence[VectorField],
+                      xs: Sequence[Sequence[float]]) -> Callable[[Sequence], float]:
     """Sampled residual of sum_a w_a X_a + sum_{a<b} w_ab [X_a, X_b].
 
-    Returns (kernel, residual): the basis and its pairwise brackets as one
-    kernel over `order`, and residual(weights, vals), the worst component
-    at a point where the kernel gave vals, so that one evaluation serves
-    every weight vector there.  The weights are the r linear ones followed
-    by _pair_weights; each component sums its nonzero-weight terms in order.
+    The basis and its brackets are evaluated once per sampled state, and
+    worst(weights) is the largest component over all states.  The weights
+    are the r linear ones followed by _pair_weights; each component sums
+    its nonzero-weight terms in order.
     """
     r = len(fields)
     gens = list(fields) + [lie_bracket(fields[a], fields[b])
                            for a in range(r) for b in range(a + 1, r)]
-    kernel = compile_numeric([c for g in gens for c in g.components], order)
+    kernel = compile_numeric([c for g in gens for c in g.components],
+                             fields[0].vars)
+    xvals = [kernel(x) for x in xs]
     n = len(fields[0].components)
 
-    def residual(weights, vals) -> float:
-        worst = 0.0
-        for i in range(n):
-            acc = 0.0
-            for k, w in enumerate(weights):
-                if w:
-                    acc += w * vals[k * n + i]
-            worst = max(worst, _magnitude(acc))
-        return float(worst)
+    def worst(weights) -> float:
+        out = 0.0
+        for vals in xvals:
+            for i in range(n):
+                acc = 0.0
+                for k, w in enumerate(weights):
+                    if w:
+                        acc += w * vals[k * n + i]
+                out = max(out, _magnitude(acc))
+        return float(out)
 
-    return kernel, residual
+    return worst
 
 
 def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
@@ -413,13 +436,8 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
         f0 = candidate.f_exprs[0]
         b0 = candidate.gauge_expr()
         xbar = sys.autonomized()
-        y_comps = [f0]
-        for i in range(len(sys.vars)):
-            acc = Expr.zero()
-            for a in range(r):
-                acc = acc + candidate.f_exprs[a + 1] * sys.algebra.fields[a].components[i]
-            y_comps.append(acc)
-        y = VectorField(xbar.vars, y_comps)
+        y = VectorField(xbar.vars, (f0,) + sys.algebra.combination(
+            candidate.f_exprs[1:]).components)
         resid = lie_bracket(y, xbar) + b0 * xbar
         statuses = {c.is_zero() for c in resid.components}
         if check_gauge:
@@ -439,8 +457,7 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
 
     b_kernel = compile_numeric(
         sys.coeffs + tuple(b.diff(t) for b in sys.coeffs) + (sys.gauge,), [t])
-    kernel, residual = _bracket_kernel(sys.algebra.fields, sys.vars)
-    xvals = [kernel(x) for x in xs]
+    residual = _bracket_residual(sys.algebra.fields, xs)
     vals, dvals = vals.tolist(), dvals.tolist()
 
     worst = 0.0
@@ -455,8 +472,7 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
             worst = max(worst, _magnitude(bvals[2 * r] - df0v))
         weights = ([f0v * dbv[a] - dfv[a] + df0v * bv[a] for a in range(r)]
                    + _pair_weights(fv, bv))
-        for at_x in xvals:
-            worst = max(worst, residual(weights, at_x))
+        worst = max(worst, residual(weights))
     return ResidualReport(worst, exact=False, npoints=len(ts) * len(xs))
 
 
@@ -485,7 +501,10 @@ def flow_transport_check(candidate: SymmetryCandidate, sys: LieSystem,
     """Transport defects at eps and eps/2, classified by their ratio.
 
     A non-finite defect reads as inf, so it is never exact or second order.
+    eps must be finite and positive.
     """
+    if not 0 < eps < math.inf:
+        raise BadParams(f"eps must be finite and positive, got {eps}")
     moves = _transport_moves(candidate, sys, traj)
     defect_eps = _transport_defect(moves, sys, eps)
     defect_half = _transport_defect(moves, sys, eps / 2)
@@ -657,11 +676,12 @@ def aff_closed_form(a: Expr, b: Expr, k, c1, c2,
         f2 = k b(t) + c1,
         f1 = e^{B(t)} ( c2 + int_0^t (k a' - a (k b + c1)) e^{-B} ),
     with B the cumulative integral of b.  Integrals use the fixed-step
-    Simpson rule on the returned grid.
+    Simpson rule on the returned grid.  step and t_span are checked as
+    rk4_solve checks them.
     """
     a, b = Expr._coerce(a), Expr._coerce(b)
     kf, c1f, c2f = float(k), float(c1), float(c2)
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = _check_span(t_span, step)
     m = int(round((t1 - t0) / step))
     if m < 2:
         raise GridEmpty("aff_closed_form needs at least two grid points")
@@ -733,8 +753,7 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     trajs = [rk4_solve(rhs, inits[i], t_span, step, varnames=names)
              for i in range(r)]
 
-    kernel, residual = _bracket_kernel(sys.algebra.fields, sys.vars)
-    xvals = [kernel(x) for x in xs]
+    residual = _bracket_residual(sys.algebra.fields, xs)
     m = len(trajs[0].ts)
     sample_idx = np.linspace(0, m - 1, n_sample_times).astype(int)
     units = np.eye(r, dtype=int).tolist()
@@ -748,8 +767,7 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
                 lin = -np.array(tensor.bracket(units[i], units[j]),
                                 dtype=float) @ fvecs
                 weights = list(lin) + _pair_weights(fvecs[i], fvecs[j])
-                for at_x in xvals:
-                    worst = max(worst, residual(weights, at_x))
+                worst = max(worst, residual(weights))
     return VerticalFamilyReport(worst,
                                 tuple(float(trajs[0].ts[i]) for i in sample_idx),
                                 tuple(trajs))

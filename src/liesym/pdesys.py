@@ -50,7 +50,9 @@ from .expr import Expr, ZeroStatus, compile_numeric
 from .integrate import Trajectory, rk4_solve
 from .liealg import LieAlgebraBasis, StructureTensor
 from .liesys import (
-    _bracket_kernel,
+    ResidualReport,
+    _bracket_residual,
+    _check_representation,
     _check_state_box,
     _fold_generators,
     _magnitude,
@@ -120,10 +122,7 @@ class PDELieSystem:
 
     def drift_field(self, l: int) -> VectorField:
         """sum_a coeffs[a][l] X_a on state space, times as parameters."""
-        out = VectorField(self.vars, [0] * len(self.vars))
-        for row, f in zip(self.coeffs, self.algebra.fields):
-            out = out + row[l] * f
-        return out
+        return self.algebra.combination([row[l] for row in self.coeffs])
 
     def suspension(self, l: int) -> VectorField:
         """d/dt_l + X_l over the joint coordinates (times, x)."""
@@ -193,24 +192,6 @@ class TimePath:
 # -- zero-curvature check -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Worst absolute value of the zero-curvature combination.
-
-    exact means every entry simplified to the zero expression; worst
-    names the (field, time k, time l) indices of the largest entry when
-    a grid evaluation was needed.
-    """
-
-    max_abs: float
-    exact: bool
-    npoints: int
-    worst: Optional[Tuple[int, int, int]] = None
-
-    def __float__(self) -> float:
-        return float(self.max_abs)
-
-
 def curvature_exprs(sys: PDELieSystem) -> Dict[Tuple[int, int, int], Expr]:
     """Entries d(b_gk)/dt_l - d(b_gl)/dt_k + [b_l, b_k]_g, k < l."""
     tensor = sys.algebra.tensor
@@ -232,20 +213,21 @@ def curvature_exprs(sys: PDELieSystem) -> Dict[Tuple[int, int, int], Expr]:
     return out
 
 
-def curvature_residual(sys: PDELieSystem) -> CurvatureReport:
+def curvature_residual(sys: PDELieSystem) -> ResidualReport:
     """Max absolute curvature entry, symbolically when possible.
 
     With a single time direction there is nothing to check.  When every
     entry simplifies to zero the report is exact; otherwise the entries
     are evaluated on the dense lattice over the declared time box and
-    the worst point wins, a non-finite entry counting as inf.
+    the worst point wins, a non-finite entry counting as inf.  worst
+    names the (field, time k, time l) indices of the largest entry.
     """
     if sys.s == 1:
-        return CurvatureReport(0.0, exact=True, npoints=0)
+        return ResidualReport(0.0, exact=True)
     entries = curvature_exprs(sys)
     statuses = {e.is_zero() for e in entries.values()}
     if statuses <= {ZeroStatus.ZERO}:
-        return CurvatureReport(0.0, exact=True, npoints=0)
+        return ResidualReport(0.0, exact=True)
     pts = time_grid(sys)
     kernel = compile_numeric(list(entries.values()), sys.times)
     vals = [kernel(row) for row in pts.tolist()]
@@ -258,8 +240,8 @@ def curvature_residual(sys: PDELieSystem) -> CurvatureReport:
             if v > worst_val:
                 worst_val = v
                 worst_key = key
-    return CurvatureReport(worst_val, exact=False, npoints=len(pts),
-                           worst=worst_key)
+    return ResidualReport(worst_val, exact=False, npoints=len(pts),
+                          worst=worst_key)
 
 
 # -- symmetry system construction ---------------------------------------------
@@ -394,17 +376,11 @@ class PDESymmetryCandidate:
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
+        _check_representation(self, ("tpoints", "values", "dvalues"))
         if self.f_exprs is not None:
             object.__setattr__(
                 self, "f_exprs", tuple(Expr._coerce(e) for e in self.f_exprs))
-            if any(v is not None
-                   for v in (self.tpoints, self.values, self.dvalues)):
-                raise DimensionMismatch(
-                    "candidate carries both closed-form and sampled data")
             return
-        if self.tpoints is None or self.values is None or self.dvalues is None:
-            raise DimensionMismatch(
-                "sampled candidate needs tpoints, values and dvalues")
         tp = np.asarray(self.tpoints, dtype=float)
         vals = np.asarray(self.values, dtype=float)
         dvals = np.asarray(self.dvalues, dtype=float)
@@ -464,26 +440,6 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
                                         times=sysf.times)
 
 
-@dataclass(frozen=True)
-class PDESymmetryReport:
-    """Residual of the per-direction symmetry brackets.
-
-    For closed-form candidates jet_max_abs and oracle_gap report the
-    independent jet-prolongation route and its pointwise distance from
-    the bracket route; sampled candidates only support the bracket
-    route, so both stay None.
-    """
-
-    max_abs: float
-    exact: bool
-    npoints: int
-    jet_max_abs: Optional[float] = None
-    oracle_gap: Optional[float] = None
-
-    def __float__(self) -> float:
-        return float(self.max_abs)
-
-
 CandidateLike = Union[PDESymmetryCandidate, VectorField, Sequence]
 
 
@@ -507,15 +463,11 @@ def _vertical_components(candidate: CandidateLike,
     if len(f_exprs) != sys.r:
         raise DimensionMismatch(
             f"{sys.r} basis fields but {len(f_exprs)} coefficients")
-    comps = [Expr.zero()] * len(sys.vars)
-    for fa, xa in zip(f_exprs, sys.algebra.fields):
-        for i, c in enumerate(xa.components):
-            comps[i] = comps[i] + fa * c
-    return tuple(comps)
+    return sys.algebra.combination(f_exprs).components
 
 
 def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
-                     nx: int, seed: int) -> PDESymmetryReport:
+                     nx: int, seed: int) -> ResidualReport:
     joint = sys.times + sys.vars
     y_joint = VectorField(joint, (Expr.zero(),) * sys.s + tuple(eta))
     # the time components of each bracket vanish identically (Y has none
@@ -527,13 +479,11 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
 
     y_vert = VectorField(sys.vars, eta)
     jet = prolong_first(y_vert, sys.times)
-    onshell = {jet_var(xv, tv): sum(
-        (sys.coeffs[a][q] * sys.algebra.fields[a].component(xv)
-         for a in range(sys.r)), Expr.zero())
-        for xv in sys.vars for q, tv in enumerate(sys.times)}
+    drifts = [sys.drift_field(l) for l in range(sys.s)]
+    onshell = {jet_var(xv, tv): drifts[q].component(xv)
+               for xv in sys.vars for q, tv in enumerate(sys.times)}
     jet_comps: List[Expr] = []
-    for l in range(sys.s):
-        drift = sys.drift_field(l)
+    for l, drift in enumerate(drifts):
         for i, xv in enumerate(sys.vars):
             f_il = Expr.var(jet_var(xv, sys.times[l])) - drift.components[i]
             jet_comps.append(jet.field.apply(f_il).subs(onshell))
@@ -542,8 +492,7 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
     statuses = {e.is_zero() for e, _ in paired}
     gap_statuses = {(e - j).is_zero() for e, j in paired}
     if statuses <= {ZeroStatus.ZERO} and gap_statuses <= {ZeroStatus.ZERO}:
-        return PDESymmetryReport(0.0, exact=True, npoints=0,
-                                 jet_max_abs=0.0, oracle_gap=0.0)
+        return ResidualReport(0.0, exact=True, jet_max_abs=0.0, oracle_gap=0.0)
 
     pts = time_grid(sys)
     xs = _sample_states(sys.default_box(), nx, seed)
@@ -559,38 +508,35 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
                 worst = max(worst, _magnitude(bv))
                 jet_worst = max(jet_worst, _magnitude(jv))
                 gap = max(gap, _magnitude(bv - jv))
-    return PDESymmetryReport(worst, exact=False, npoints=len(pts) * len(xs),
-                             jet_max_abs=jet_worst, oracle_gap=gap)
+    return ResidualReport(worst, exact=False, npoints=len(pts) * len(xs),
+                          jet_max_abs=jet_worst, oracle_gap=gap)
 
 
 def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
-                      nt: int, nx: int, seed: int) -> PDESymmetryReport:
+                      nt: int, nx: int, seed: int) -> ResidualReport:
     if cand.r != sys.r:
         raise DimensionMismatch(
             f"{sys.r} basis fields but candidate has {cand.r} channels")
     r, s = sys.r, sys.s
-    kernel, residual = _bracket_kernel(sys.algebra.fields, sys.times + sys.vars)
     b_kernel = compile_numeric([c for row in sys.coeffs for c in row],
                                sys.times)
     xs = _sample_states(sys.default_box(), nx, seed)
     idx = _thin(len(cand.tpoints), nt)
+    residual = _bracket_residual(sys.algebra.fields, xs)
     worst = 0.0
     for k in idx:
         tp = cand.tpoints[k].tolist()
         fv = cand.values[k].tolist()
         dv = cand.dvalues[k].T.tolist()
         bv = np.reshape(b_kernel(tp), (r, s)).T.tolist()
-        weights = [dv[l] + _pair_weights(bv[l], fv) for l in range(s)]
-        for x in xs:
-            vals = kernel(tp + x)
-            for l in range(s):
-                worst = max(worst, residual(weights[l], vals))
-    return PDESymmetryReport(worst, exact=False, npoints=len(idx) * len(xs))
+        for l in range(s):
+            worst = max(worst, residual(dv[l] + _pair_weights(bv[l], fv)))
+    return ResidualReport(worst, exact=False, npoints=len(idx) * len(xs))
 
 
 def pde_symmetry_residual(candidate: CandidateLike, sys: PDELieSystem,
                           nt: int = 25, nx: int = 20,
-                          seed: int = 0) -> PDESymmetryReport:
+                          seed: int = 0) -> ResidualReport:
     """Residual of [d/dt_l + X_l, Y] over all directions, worst entry.
 
     Closed-form candidates (coefficient tuples, vertical fields, or

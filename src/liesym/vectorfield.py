@@ -63,9 +63,6 @@ class VectorField:
         return (isinstance(other, VectorField) and self.vars == other.vars
                 and self.components == other.components)
 
-    def __hash__(self):
-        return hash((self.vars, self.components))
-
     def is_zero(self) -> ZeroStatus:
         statuses = {c.is_zero() for c in self.components}
         if statuses <= {ZeroStatus.ZERO}:

@@ -115,6 +115,26 @@ def test_check_algebra_accepts_opaque_coefficients(tmp_path):
     assert "closed, r=2" in out
 
 
+def test_check_algebra_accepts_primed_opaque_profiles(tmp_path):
+    doc = {"vars": ["x"], "basis": [["1"], ["x"], ["x^2"]],
+           "coeffs": ["@eta'(t)", "0", "1"], "gauge_b0": "0"}
+    code, out = run_cli("check-algebra", "--input",
+                        write_json(tmp_path / "sys.json", doc))
+    assert code == EXIT_OK
+    assert "closed, r=3" in out
+
+
+def test_symmetrize_checks_f_init_before_building(monkeypatch):
+    import liesym.cli
+
+    def refuse(sysobj):
+        raise AssertionError("symmetry system built before the f-init check")
+
+    monkeypatch.setattr(liesym.cli, "build_symmetry_system", refuse)
+    assert run_cli("symmetrize", "--catalog", "painleve_ince",
+                   "--f-init", "1,2")[0] == EXIT_USAGE
+
+
 def test_symmetrize_triple_system(tmp_path):
     out_csv = tmp_path / "s.csv"
     code, out = run_cli("symmetrize", "--catalog", "dbh",

@@ -158,6 +158,18 @@ def test_parse_opaque():
         parse("@eta(u)", ["t"], registry={"eta": eta})
 
 
+def test_parse_primes_walk_the_derivative_chain():
+    eta = OpaqueFunction("eta", derivative=OpaqueFunction(
+        "eta'", derivative=OpaqueFunction("eta''")))
+    e = (t ** 2 * Expr.opaque(eta, "t")).diff("t").diff("t")
+    assert "@eta''(t)" in str(e)
+    assert parse(str(e), ["t"], registry={"eta": eta}) == e
+    assert parse("@eta'(t)", ["t"], registry={"eta": eta}) == Expr.opaque(
+        eta.derivative, "t")
+    with pytest.raises(ParseError):
+        parse("@eta'''(t)", ["t"], registry={"eta": eta})
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse("x +", ["x"])
@@ -253,6 +265,26 @@ def rationals(draw):
     num = draw(polys())
     den = draw(polys())
     return num / den if den.num else num
+
+
+def test_equality_is_equality_of_rational_functions():
+    a = (x ** 2 - y ** 2) / ((x - y) * (x + 2 * y))
+    b = (x + y) / (x + 2 * y)
+    assert (a - b).is_zero() is ZeroStatus.ZERO
+    assert a == b and not a != b
+    assert a != b + 1
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals(), rationals(), polys())
+def test_equal_exactly_when_difference_is_zero(a, b, c):
+    # a * c / c is a in another written form whenever c is nonzero
+    same = a * c / c if c.num else a
+    assert a == same
+    for u, v in ((a, b), (a, same), (b, same)):
+        assert (u == v) == ((u - v).is_zero() is ZeroStatus.ZERO)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,11 +10,13 @@ import pytest
 
 from liesym import make, names
 from liesym.errors import (
+    BadParams,
     DependentBasis,
     DependentInitialConditions,
     DimensionMismatch,
     GridEmpty,
     PoleEncountered,
+    StepNotPositive,
 )
 from liesym.expr import Expr, OpaqueFunction, ZeroStatus
 from liesym.liealg import (
@@ -526,6 +528,18 @@ def test_flow_transport_compiles_each_kernel_once(monkeypatch):
     assert len(calls) == 2 * r + 2
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+def test_flow_transport_rejects_eps_that_is_not_finite_and_positive(eps):
+    # with eps = 0 both defects vanish, so a non-symmetry would read as exact
+    sys, cand, traj = dbh_transport_setup()
+    f = list(cand.f_exprs)
+    f[2] = f[2] + Fraction(1, 2) * Expr.var("t")
+    bad = SymmetryCandidate.closed(f)
+    assert symmetry_residual(bad, sys, nt=5, nx=5).max_abs > 1.0
+    with pytest.raises(BadParams):
+        flow_transport_check(bad, sys, traj, eps=eps)
+
+
 # -- reduced flow with f0 = 0 -------------------------------------------------
 
 
@@ -582,6 +596,20 @@ def test_aff_closed_form_quadrature_oracle():
     ts = cand.grid
     expected = c2 * np.exp(ts ** 2) + k * ts + (c1 / 2) * (1 - np.exp(ts ** 2))
     assert np.max(np.abs(cand.values[:, 1] - expected)) < 1e-7
+
+
+@pytest.mark.parametrize("step, t_span, error", [
+    (0.0, (0.0, 1.0), StepNotPositive),
+    (-1e-3, (0.0, 1.0), StepNotPositive),
+    (math.nan, (0.0, 1.0), BadParams),
+    (math.inf, (0.0, 1.0), BadParams),
+    (1e-3, (0.0, math.nan), BadParams),
+    (1e-3, (math.inf, 1.0), BadParams),
+])
+def test_aff_closed_form_checks_step_and_span(step, t_span, error):
+    t = Expr.var("t")
+    with pytest.raises(error):
+        aff_closed_form(t, 2 * t, k=1, c1=0, c2=0, t_span=t_span, step=step)
 
 
 # -- third-order reduction ------------------------------------------------------

@@ -16,6 +16,7 @@ from liesym import (
     OpaqueFunction,
     PDELieSystem,
     PDESymmetryCandidate,
+    SymmetryCandidate,
     TimePath,
     VectorField,
     ZeroStatus,
@@ -401,6 +402,25 @@ def test_candidate_shape_validation():
     three = PDESymmetryCandidate.closed((0, 0, 0), times=("t1", "t3"))
     with pytest.raises(DimensionMismatch):
         pde_symmetry_residual(three, sys2)
+
+
+@pytest.mark.parametrize("make_empty, make_both", [
+    (lambda: SymmetryCandidate(time="t"),
+     lambda: SymmetryCandidate(f_exprs=(Expr.one(),) * 4,
+                               grid=np.zeros(2), values=np.zeros((2, 4)),
+                               dvalues=np.zeros((2, 4)))),
+    (lambda: PDESymmetryCandidate(times=("t1", "t2")),
+     lambda: PDESymmetryCandidate(times=("t1", "t2"), f_exprs=(Expr.one(),) * 3,
+                                  tpoints=np.zeros((2, 2)),
+                                  values=np.zeros((2, 3)),
+                                  dvalues=np.zeros((2, 3, 2)))),
+], ids=["single_time", "multi_time"])
+def test_candidate_is_closed_form_or_sampled(make_empty, make_both):
+    with pytest.raises(DimensionMismatch, match="^sampled candidate needs "):
+        make_empty()
+    with pytest.raises(DimensionMismatch,
+                       match="^candidate carries both closed-form and sampled data$"):
+        make_both()
 
 
 def test_non_finite_sampled_candidate_reports_inf():
