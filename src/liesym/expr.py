@@ -12,7 +12,11 @@ Two expressions with equal normal forms evaluate identically everywhere.
 Zero testing is exact on the opaque-free fragment (a rational function is
 zero iff its numerator polynomial is zero) and falls back to sampled
 evidence when opaque leaves are present.  compile_numeric lowers the
-expressions a caller evaluates together into one float kernel.
+expressions a caller evaluates together into one float kernel: a
+generated Python function that writes each entry out term by term.
+Generation changes no contract of the term interpreter it replaced: the
+floats, the denominator-first DivisionByZero and the compile-time
+errors are the same.
 """
 
 from __future__ import annotations
@@ -709,79 +713,103 @@ def _float64_pow(v: float, p: int) -> float:
         return -math.inf if v < 0 and p % 2 else math.inf
 
 
-def _overflowed_term(c: float, plain, calls, values) -> float:
-    """A kernel term in which a float power overflowed, evaluated again.
+def _define(name: str, source: str, namespace: dict) -> Callable:
+    """The function `name` defined by the generated Python `source`.
 
-    Python's float ** int raises OverflowError where float64 gives +-inf;
-    the term takes the float64 value, so an overflow reads as a pole.
+    `namespace` becomes the function's globals; its "__name__" entry is
+    the function's __module__, which names the function in traces.
     """
-    acc = c
-    for i, p in plain:
-        acc *= _float64_pow(values[i], p)
-    for f, i, p in calls:
-        acc *= _float64_pow(f(values[i]), p)
-    return acc
+    exec(compile(source, f"<generated {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+# terms per generated statement; a longer sum nests too deep to compile
+_SUM_CHUNK = 200
+
+
+def _sum_lines(var: str, terms: Sequence[str]) -> list:
+    """Statements leaving 0.0 + terms[0] + terms[1] + ... in `var`, left to right."""
+    lines, acc = [], "0.0"
+    for k in range(0, max(len(terms), 1), _SUM_CHUNK):
+        lines.append(f"{var} = " + " + ".join([acc, *terms[k:k + _SUM_CHUNK]]))
+        acc = var
+    return lines
 
 
 def compile_numeric(exprs: Sequence[Expr],
                     order: Sequence[str]) -> Callable[[Sequence[float]], list]:
     """One float kernel: values (one per name in `order`) -> [exprs[k] there].
 
-    Entries are evaluated one after another, denominator first, so the
-    floats and errors are those of evaluating each expression alone.
-    Opaque leaves must carry evaluators; the kernel raises DivisionByZero
-    when a denominator vanishes.
+    The kernel is one generated Python function.  It binds each slot it
+    reads to a local and writes each entry out as 0.0 + c*v0**2*v1 + ...
+    in normal-form term order: each term's factors multiply left to right
+    and the terms add up from 0.0, as the term interpreter it replaced
+    did, so the floats are unchanged.  Entries are evaluated one after
+    another, denominator first, so the floats and errors are those of
+    evaluating each expression alone; the kernel raises DivisionByZero
+    when a denominator vanishes.  Python's float ** int raises
+    OverflowError where float64 gives +-inf; a polynomial in which that
+    happens is evaluated again with _float64_pow, so an overflow reads as
+    a pole.  Opaque leaves must carry evaluators, and every variable needs
+    a slot in `order`: compilation raises OpaqueNoEvaluator or
+    UnboundSymbol otherwise.
     """
     index = {name: i for i, name in enumerate(order)}
+    namespace = {"__name__": __name__, "_pow": _float64_pow,
+                 "DivisionByZero": DivisionByZero}
+    slots = set()
+    # id(evaluator) -> its identifier; namespace keeps the evaluator alive
+    evaluators = {}
 
-    def build(p: Poly):
-        terms = []
+    def slot(name: str) -> str:
+        if name not in index:
+            raise UnboundSymbol(f"no slot for {name}")
+        slots.add(index[name])
+        return f"v{index[name]}"
+
+    def assign(var: str, p: Poly) -> list:
+        """Statements leaving p's value in `var`, with the overflow fallback."""
+        fast, slow = [], []
         for m, c in p.items():
-            plain = []
-            calls = []
+            plain, calls = [], []
             for atom, e in m:
                 if atom.kind == Atom.VAR:
-                    if atom.name not in index:
-                        raise UnboundSymbol(f"no slot for {atom.name}")
-                    plain.append((index[atom.name], e))
-                else:
-                    if atom.func.evaluator is None:
-                        raise OpaqueNoEvaluator(f"@{atom.name} has no evaluator")
-                    if atom.arg not in index:
-                        raise UnboundSymbol(f"no slot for {atom.arg}")
-                    calls.append((atom.func.evaluator, index[atom.arg], e))
-            terms.append((float(c), tuple(plain), tuple(calls)))
-        return tuple(terms)
+                    plain.append((slot(atom.name), e))
+                    continue
+                f = atom.func.evaluator
+                if f is None:
+                    raise OpaqueNoEvaluator(f"@{atom.name} has no evaluator")
+                arg = slot(atom.arg)
+                if id(f) not in evaluators:
+                    evaluators[id(f)] = f"_f{len(evaluators)}"
+                    namespace[evaluators[id(f)]] = f
+                calls.append((f"{evaluators[id(f)]}({arg})", e))
+            factors = plain + calls
+            fast.append("*".join([repr(float(c))] + [
+                v if e == 1 else f"{v}**{e}" for v, e in factors]))
+            slow.append("*".join([repr(float(c))] + [
+                v if e == 1 else f"_pow({v}, {e})" for v, e in factors]))
+        if fast == slow:  # no power, so no OverflowError to catch
+            return _sum_lines(var, fast)
+        return (["try:"] + ["    " + s for s in _sum_lines(var, fast)]
+                + ["except OverflowError:"]
+                + ["    " + s for s in _sum_lines(var, slow)])
 
-    # per entry, the polynomials in evaluation order: (num,) or (den, num)
-    entries = []
-    for e in exprs:
-        num = build(e.num)
-        entries.append((num,) if e.den == _ONE_POLY else (build(e.den), num))
-
-    def kernel(values):
-        out = []
-        for polys in entries:
-            # den is checked before num is evaluated; x / 1.0 is exact
-            total = 1.0
-            for terms in polys:
-                if total == 0.0:
-                    raise DivisionByZero("denominator vanishes at the point")
-                den, total = total, 0.0
-                for c, plain, calls in terms:
-                    acc = c
-                    try:
-                        for i, p in plain:
-                            acc *= values[i] ** p
-                        for f, i, p in calls:
-                            acc *= f(values[i]) ** p
-                    except OverflowError:
-                        acc = _overflowed_term(c, plain, calls, values)
-                    total += acc
-            out.append(total / den)
-        return out
-
-    return kernel
+    body = []
+    for k, e in enumerate(exprs):
+        num = assign(f"e{k}", e.num)
+        if e.den == _ONE_POLY:
+            body += num
+            continue
+        body += assign("d", e.den)
+        body += ["if d == 0.0:",
+                 "    raise DivisionByZero('denominator vanishes at the point')"]
+        body += num + [f"e{k} = e{k} / d"]
+    body.append("return [" + ", ".join(f"e{k}" for k in range(len(exprs))) + "]")
+    source = "\n    ".join(["def kernel(values):"]
+                            + [f"v{i} = values[{i}]" for i in sorted(slots)]
+                            + body)
+    return _define("kernel", source + "\n", namespace)
 
 
 # -- parsing -------------------------------------------------------------

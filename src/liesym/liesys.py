@@ -261,21 +261,29 @@ class SymmetryCandidate:
 
     def __post_init__(self):
         _check_representation(self, ("grid", "values", "dvalues"))
+        if self.f_exprs is not None:
+            object.__setattr__(
+                self, "f_exprs", tuple(Expr._coerce(e) for e in self.f_exprs))
+            return
+        grid = np.asarray(self.grid, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
+        dvals = np.asarray(self.dvalues, dtype=float)
+        if (vals.ndim != 2 or dvals.shape != vals.shape
+                or grid.shape != (vals.shape[0],)):
+            raise DimensionMismatch("candidate channel shapes disagree")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "dvalues", dvals)
 
     @staticmethod
     def closed(f_exprs: Sequence, time: str = "t") -> "SymmetryCandidate":
-        return SymmetryCandidate(
-            time=time, f_exprs=tuple(Expr._coerce(e) for e in f_exprs))
+        return SymmetryCandidate(time=time, f_exprs=tuple(f_exprs))
 
     @staticmethod
     def sampled(grid: np.ndarray, values: np.ndarray, dvalues: np.ndarray,
                 time: str = "t") -> "SymmetryCandidate":
-        values = np.asarray(values, dtype=float)
-        dvalues = np.asarray(dvalues, dtype=float)
-        if values.shape != dvalues.shape or len(grid) != len(values):
-            raise DimensionMismatch("candidate channel shapes disagree")
-        return SymmetryCandidate(time=time, grid=np.asarray(grid, dtype=float),
-                                 values=values, dvalues=dvalues)
+        return SymmetryCandidate(time=time, grid=grid, values=values,
+                                 dvalues=dvalues)
 
     @property
     def is_closed_form(self) -> bool:

@@ -46,7 +46,7 @@ from .errors import (
     NotVertical,
     OpaqueNoDerivative,
 )
-from .expr import Expr, ZeroStatus, compile_numeric
+from .expr import Expr, ZeroStatus, _define, compile_numeric
 from .integrate import Trajectory, rk4_solve
 from .liealg import LieAlgebraBasis, StructureTensor
 from .liesys import (
@@ -308,6 +308,29 @@ def build_pde_symmetry_system(sys: PDELieSystem,
 # -- path integration ---------------------------------------------------------
 
 
+def _leg_rhs(drifts: Callable, n: int, s: int) -> Callable:
+    """leg(*w0, *d) -> the right-hand side u, yy -> dx/du of one path leg.
+
+    drifts maps (t, x) to the s drift fields, n components each.  The
+    generated rhs writes each component out as 0 + d0*X_0j + d1*X_1j + ...,
+    summed left to right from 0 and not with sum(): from Python 3.12 on,
+    sum() compensates when its items are exact floats.
+    """
+    w0 = [f"a{l}" for l in range(s)]
+    d = [f"d{l}" for l in range(s)]
+    times = ", ".join(f"a{l} + u * d{l}" for l in range(s))
+    comps = ", ".join(" + ".join(["0"] + [f"d{l} * vals[{l * n + j}]"
+                                          for l in range(s)])
+                      for j in range(n))
+    source = (f"def leg({', '.join(w0 + d)}):\n"
+              f"    def rhs(u, yy, {', '.join(f'{a}={a}' for a in w0 + d)}):\n"
+              f"        vals = drifts([{times}] + yy.tolist())\n"
+              f"        return [{comps}]\n"
+              f"    return rhs\n")
+    # rhs.__module__ is this module: traces name RK4 right-hand sides by it
+    return _define("leg", source, {"__name__": __name__, "drifts": drifts})
+
+
 def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
                          path: TimePath) -> Trajectory:
     """RK4 trajectory of the system pulled back to a piecewise-linear path.
@@ -321,31 +344,18 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
         raise DimensionMismatch(
             f"path in {path.s} time dimensions, system has {sys.s}")
     n, s = len(sys.vars), sys.s
-    drifts = compile_numeric([c for l in range(s)
-                              for c in sys.drift_field(l).components],
-                             sys.times + sys.vars)
+    leg_rhs = _leg_rhs(compile_numeric([c for l in range(s)
+                                        for c in sys.drift_field(l).components],
+                                       sys.times + sys.vars), n, s)
 
     ts_parts: List[np.ndarray] = []
     state_parts: List[np.ndarray] = []
     err_parts: List[np.ndarray] = []
     y = np.asarray(x0, dtype=float)
     for i in range(path.nseg):
-        w0 = list(path.waypoints[i])
+        w0 = path.waypoints[i]
         d = [b - a for a, b in zip(w0, path.waypoints[i + 1])]
-
-        def rhs(u, yy, w0=w0, d=d):
-            vals = drifts([a + u * b for a, b in zip(w0, d)] + yy.tolist())
-            # left to right from 0, not sum(): from Python 3.12 on, sum()
-            # compensates when its items are exact floats
-            out = []
-            for j in range(n):
-                acc = 0
-                for dl, v in zip(d, vals[j::n]):
-                    acc = acc + dl * v
-                out.append(acc)
-            return out
-
-        leg = rk4_solve(rhs, y, (0.0, 1.0), 1.0 / path.steps,
+        leg = rk4_solve(leg_rhs(*w0, *d), y, (0.0, 1.0), 1.0 / path.steps,
                         varnames=sys.vars, excluded=sys.excluded)
         y = leg.states[-1]
         skip = 1 if i > 0 else 0

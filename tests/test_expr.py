@@ -14,6 +14,7 @@ from liesym import (
     Expr,
     OpaqueFunction,
     OpaqueNoDerivative,
+    OpaqueNoEvaluator,
     OpaqueSubstitution,
     ParseError,
     UnboundSymbol,
@@ -22,6 +23,7 @@ from liesym import (
     parse,
     zero_report,
 )
+from liesym.expr import Atom
 
 x = Expr.var("x")
 y = Expr.var("y")
@@ -324,3 +326,178 @@ def test_compile_numeric_overflow_gives_float64_infinities():
     assert kernel([-100.0]) == want
     with np.errstate(over="ignore"):
         assert kernel(np.array([-100.0])) == want
+
+
+# -- the generated kernel against the term interpreter it replaced ---------------
+
+
+def _reference_pow(v, p):
+    try:
+        return v ** p
+    except OverflowError:
+        return -math.inf if v < 0 and p % 2 else math.inf
+
+
+def _reference_overflowed_term(c, plain, calls, values):
+    acc = c
+    for i, p in plain:
+        acc *= _reference_pow(values[i], p)
+    for f, i, p in calls:
+        acc *= _reference_pow(f(values[i]), p)
+    return acc
+
+
+def _reference_kernel(exprs, order):
+    """The term-tuple interpreter compile_numeric used to return, frozen."""
+    index = {name: i for i, name in enumerate(order)}
+
+    def build(p):
+        terms = []
+        for m, c in p.items():
+            plain = []
+            calls = []
+            for atom, e in m:
+                if atom.kind == Atom.VAR:
+                    if atom.name not in index:
+                        raise UnboundSymbol(f"no slot for {atom.name}")
+                    plain.append((index[atom.name], e))
+                else:
+                    if atom.func.evaluator is None:
+                        raise OpaqueNoEvaluator(f"@{atom.name} has no evaluator")
+                    if atom.arg not in index:
+                        raise UnboundSymbol(f"no slot for {atom.arg}")
+                    calls.append((atom.func.evaluator, index[atom.arg], e))
+            terms.append((float(c), tuple(plain), tuple(calls)))
+        return tuple(terms)
+
+    entries = []
+    for e in exprs:
+        num = build(e.num)
+        entries.append((num,) if e.den == {(): Fraction(1)} else (build(e.den), num))
+
+    def kernel(values):
+        out = []
+        for polys in entries:
+            total = 1.0
+            for terms in polys:
+                if total == 0.0:
+                    raise DivisionByZero("denominator vanishes at the point")
+                den, total = total, 0.0
+                for c, plain, calls in terms:
+                    acc = c
+                    try:
+                        for i, p in plain:
+                            acc *= values[i] ** p
+                        for f, i, p in calls:
+                            acc *= f(values[i]) ** p
+                    except OverflowError:
+                        acc = _reference_overflowed_term(c, plain, calls, values)
+                    total += acc
+            out.append(total / den)
+        return out
+
+    return kernel
+
+
+# sin is harmless; exp raises OverflowError past 709 and log ValueError at
+# v <= 0, both inside a term; eta'' is large, so its powers overflow; bare
+# has no evaluator.  Repeats weight the draw towards kernels that compile
+# and run.
+_SIN, _EXP, _LOG, _BIG, _BARE = (
+    OpaqueFunction("sin", math.sin), OpaqueFunction("exp", math.exp),
+    OpaqueFunction("log", math.log),
+    OpaqueFunction("eta''", lambda v: 1e200 * v), OpaqueFunction("bare"))
+_LEAVES = ("x", "y", "z", "x", "y", _SIN, _SIN, _EXP, _LOG, _BIG) * 4 + (_BARE,)
+_ORDERS = (("x", "y", "z"), ("z", "y", "x")) * 2 + (("x", "y"),)
+
+
+@st.composite
+def kernel_polys(draw):
+    e = Expr.zero()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        term = Expr.const(Fraction(draw(st.integers(min_value=-5, max_value=5)),
+                                   draw(st.integers(min_value=1, max_value=7))))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            leaf = draw(st.sampled_from(_LEAVES))
+            base = (Expr.var(leaf) if isinstance(leaf, str)
+                    else Expr.opaque(leaf, draw(st.sampled_from(("x", "y")))))
+            term = term * base ** draw(st.sampled_from((1, 1, 2, 3, 7, 103)))
+        e = e + term
+    return e
+
+
+@st.composite
+def kernel_rationals(draw):
+    num = draw(kernel_polys())
+    if draw(st.booleans()):
+        return num
+    den = draw(kernel_polys())
+    return num / den if den.num else num
+
+
+_points = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                    st.sampled_from((0.0, -0.0, 1.0, -1.0, -100.0, 710.0)))
+
+
+def _outcome(call, *args):
+    """(None, result) or (the exception type, None)."""
+    try:
+        return None, call(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc), None
+
+
+def _bits(values):
+    """Floats as comparable items: NaN equal to NaN, signed zeros apart."""
+    return [("nan",) if v != v else (v, math.copysign(1.0, v)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(kernel_rationals(), min_size=1, max_size=4),
+       st.sampled_from(_ORDERS), st.lists(_points, min_size=3, max_size=3))
+def test_generated_kernel_is_bit_identical_to_the_interpreter(exprs, order, point):
+    """Same floats and the same exception types, at compile and call time."""
+    ref_err, ref = _outcome(_reference_kernel, exprs, order)
+    gen_err, gen = _outcome(compile_numeric, exprs, order)
+    assert gen_err is ref_err
+    if ref is None:
+        return
+    ref_err, want = _outcome(ref, point)
+    gen_err, got = _outcome(gen, point)
+    assert gen_err is ref_err
+    if want is not None:
+        assert _bits(got) == _bits(want)
+
+
+def test_generated_kernel_signs_and_overflows():
+    big = OpaqueFunction("big", lambda v: 1e200)
+    kernel = compile_numeric([1 / x ** 201, (x + 1) / (x ** 201 + 1),
+                              Expr.opaque(big, "x") ** 2], ["x"])
+    got = kernel([-100.0])
+    assert got == [0.0, 0.0, math.inf]
+    assert math.copysign(1.0, got[0]) == -1.0
+    assert math.copysign(1.0, got[1]) == 1.0
+
+
+def test_generated_kernel_binds_evaluators_not_names():
+    plus = OpaqueFunction("eta''", lambda v: v + 1)
+    times = OpaqueFunction("eta''", lambda v: 10 * v)
+    kernel = compile_numeric([Expr.opaque(plus, "x"), Expr.opaque(times, "x")],
+                             ["x"])
+    assert kernel([2.0]) == [3.0, 20.0]
+
+
+def test_generated_kernel_edge_shapes():
+    assert compile_numeric([], ["x"])([1.0]) == []
+    # slots past `order` are never read
+    assert compile_numeric([x * y], ["x", "y"])([2.0, 3.0, 99.0]) == [6.0]
+
+
+def test_generated_kernel_compiles_long_sums():
+    # 3721 terms: one written-out sum would nest too deep to compile
+    e = (1 + x) ** 60 * (1 - y) ** 60
+    exprs = [e, 1 / e]
+    kernel = compile_numeric(exprs, ["x", "y"])
+    reference = _reference_kernel(exprs, ["x", "y"])
+    for point in ([0.5, 0.25], [-0.75, 3.0], [20.0, -30.0]):
+        assert _bits(kernel(point)) == _bits(reference(point))

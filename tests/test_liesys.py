@@ -690,6 +690,15 @@ def test_candidate_shape_checks():
         symmetry_residual(short, sys)
 
 
+def test_directly_built_candidate_checks_channel_shapes():
+    with pytest.raises(DimensionMismatch):
+        SymmetryCandidate(grid=np.linspace(0, 1, 5), values=np.zeros((2, 4)),
+                          dvalues=np.zeros((7, 4)))
+    with pytest.raises(DimensionMismatch):
+        SymmetryCandidate(grid=np.linspace(0, 1, 5), values=np.zeros(5),
+                          dvalues=np.zeros(5))
+
+
 # -- sampling edge cases and input checks ----------------------------------------
 
 
