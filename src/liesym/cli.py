@@ -476,6 +476,16 @@ def _positive(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def _kv(text: str) -> Tuple[str, str]:
     if "=" not in text:
         raise argparse.ArgumentTypeError("parameters must look like key=value")
@@ -491,7 +501,7 @@ _SHARED = {
                     metavar="KEY=VALUE", help="catalog entry parameter"),
     "--t-span": dict(type=_span, default=(0.0, 1.0), metavar="A:B"),
     "--step": dict(type=_positive, default=1e-3),
-    "--seed": dict(type=int, help="sampling seed; default env LIESYM_SEED or 0"),
+    "--seed": dict(type=_seed, help="sampling seed; default env LIESYM_SEED or 0"),
     "--out": dict(help="CSV output path"),
     "--x0": dict(type=_floats, metavar="X1,X2,..."),
 }
@@ -555,9 +565,9 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
         # --seed where the subcommand has it, else LIESYM_SEED, else 0
         if vars(args).get("seed") is None:
             try:
-                args.seed = int(os.environ.get("LIESYM_SEED", "0"))
-            except ValueError:
-                raise UsageError("LIESYM_SEED must be an integer")
+                args.seed = _seed(os.environ.get("LIESYM_SEED", "0"))
+            except argparse.ArgumentTypeError:
+                raise UsageError("LIESYM_SEED must be a non-negative integer")
         return _COMMANDS[args.subcommand](args, stdout)
     except (UsageError, UnknownName, BadParams, OpaqueNoEvaluator,
             UnboundSymbol) as exc:

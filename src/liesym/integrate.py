@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (BadParams, PoleEncountered, QuadratureDiverged,
-                     StepNotPositive)
+from .errors import (BadParams, DimensionMismatch, PoleEncountered,
+                     QuadratureDiverged, StepNotPositive)
 
 POLE_LIMIT = 1e12
 
@@ -54,13 +54,6 @@ def _rk4_step(rhs, t, y, h, k1):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _as_floats(val, n: int) -> list:
-    """An rhs value as n Python floats, broadcast as numpy would."""
-    if type(val) is list and len(val) == n:
-        return [float(v) for v in val]
-    return np.broadcast_to(np.asarray(val, dtype=float), (n,)).tolist()
-
-
 def _in_bounds(vals) -> bool:
     """Every entry finite and within POLE_LIMIT in absolute value."""
     for v in vals:
@@ -91,21 +84,21 @@ def _check_span(t_span: Tuple[float, float], step: float) -> Tuple[float, float]
     return t0, t1
 
 
-def rk4_solve(rhs: Callable[[float, np.ndarray], Sequence[float]],
+def rk4_solve(rhs: Callable[[float, List[float]], Sequence[float]],
               y0: Sequence[float],
               t_span: Tuple[float, float],
               step: float,
               varnames: Optional[Sequence[str]] = None,
-              excluded: Optional[Callable[[np.ndarray], bool]] = None) -> Trajectory:
+              excluded: Optional[Callable[[List[float]], bool]] = None) -> Trajectory:
     """Classical RK4 with a fixed step and half-step Richardson estimates.
 
-    rhs(t, y) receives t as a float and y as a float64 ndarray and may
-    return any sequence of floats (an ndarray or a list), one per state
-    entry; excluded(y) also receives an ndarray.  Between those calls the
-    stepping runs on Python floats: at the sizes of symmetry systems a
-    numpy call costs more than the arithmetic it does.  The operations
-    and their order are those of the array form, so trajectories are
-    bit-identical to it.
+    rhs(t, y) receives t as a float and y as a list of Python floats, and
+    returns a sequence (a list or an ndarray) of exactly one float per
+    state entry; any other length raises DimensionMismatch.  excluded(y)
+    receives the same list.  The stepping runs on Python floats: at the
+    sizes of symmetry systems a numpy call costs more than the arithmetic
+    it does.  The operations and their order are those of the array
+    form, so trajectories are bit-identical to it.
 
     The trajectory advances on the full-step values; the two half steps
     feed only the stored error estimate |full - half*2|_inf / 15.
@@ -124,7 +117,7 @@ def rk4_solve(rhs: Callable[[float, np.ndarray], Sequence[float]],
     n = len(y0_arr)
     y = y0_arr.tolist()
     names = tuple(varnames) if varnames else tuple(f"x{i}" for i in range(n))
-    if excluded is not None and excluded(y0_arr):
+    if excluded is not None and excluded(y):
         raise PoleEncountered("initial state is on the excluded locus",
                               t=t0, state=y0_arr)
     ts = [t0]
@@ -133,12 +126,14 @@ def rk4_solve(rhs: Callable[[float, np.ndarray], Sequence[float]],
     t = t0
 
     def checked_rhs(tt, yy):
-        arr = np.array(yy)
-        val = _as_floats(rhs(tt, arr), n)
+        val = rhs(tt, yy)
+        if len(val) != n:
+            raise DimensionMismatch(
+                f"right-hand side returned {len(val)} values for {n} states")
         if not _in_bounds(val):
             raise PoleEncountered(
                 f"right-hand side exceeded {POLE_LIMIT:g} at t={tt:.6g}",
-                t=tt, state=arr)
+                t=tt, state=np.array(yy))
         return val
 
     while (t1 - t) * direction > 1e-12 * max(1.0, abs(t1)):
@@ -155,7 +150,7 @@ def rk4_solve(rhs: Callable[[float, np.ndarray], Sequence[float]],
             raise PoleEncountered(
                 f"state exceeded {POLE_LIMIT:g} at t={t:.6g}", t=t,
                 state=np.array(y))
-        if excluded is not None and excluded(np.array(y)):
+        if excluded is not None and excluded(y):
             raise PoleEncountered(
                 f"state hit the excluded locus at t={t:.6g}", t=t,
                 state=np.array(y))
@@ -177,14 +172,15 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     if m < 2:
         return np.zeros(m)
     if m == 2:
-        return np.array([0.0, step * (v[0] + v[1]) / 2])
-    out = [0.0]
-    for i in range(1, m):
-        if i == 1:
-            inc = step * (5 * v[0] + 8 * v[1] - v[2]) / 12
-        else:
-            inc = step * (-v[i - 2] + 8 * v[i - 1] + 5 * v[i]) / 12
-        out.append(out[i - 1] + inc)
+        out = [0.0, step * (v[0] + v[1]) / 2]
+    else:
+        out = [0.0]
+        for i in range(1, m):
+            if i == 1:
+                inc = step * (5 * v[0] + 8 * v[1] - v[2]) / 12
+            else:
+                inc = step * (-v[i - 2] + 8 * v[i - 1] + 5 * v[i]) / 12
+            out.append(out[i - 1] + inc)
     out = np.array(out)
     if not np.all(np.isfinite(out)):
         raise QuadratureDiverged("cumulative Simpson produced non-finite values")

@@ -295,12 +295,11 @@ def _numeric_fallback(fields, bracket, a, b, seed):
 class LieAlgebraBasis:
     """A basis of vector fields with its extracted structure tensor."""
 
-    __slots__ = ("fields", "tensor", "method", "seed")
+    __slots__ = ("fields", "tensor", "method")
 
-    def __init__(self, fields: Sequence[VectorField], seed: int = 0):
+    def __init__(self, fields: Sequence[VectorField]):
         self.fields = tuple(fields)
-        self.seed = seed
-        self.tensor, self.method = extract_structure_constants(self.fields, seed)
+        self.tensor, self.method = extract_structure_constants(self.fields)
 
     @property
     def r(self) -> int:

@@ -55,7 +55,7 @@ class LieSystem:
     time: str = "t"
     name: str = ""
     state_box: Optional[Tuple[Tuple[float, float], ...]] = None
-    excluded: Optional[Callable[[np.ndarray], bool]] = None
+    excluded: Optional[Callable[[Sequence[float]], bool]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs",
@@ -86,12 +86,12 @@ class LieSystem:
         """Xbar = d/dt + X(t, x) over (t, x)."""
         return autonomize(self.drift_field(), self.time)
 
-    def rhs(self) -> Callable[[float, np.ndarray], list]:
+    def rhs(self) -> Callable[[float, List[float]], list]:
         kernel = compile_numeric(self.drift_field().components,
                                  (self.time,) + self.vars)
 
         def f(t, y):
-            return kernel([t] + y.tolist())
+            return kernel([t] + y)
 
         return f
 
@@ -325,7 +325,8 @@ def candidate_from_trajectory(built: SymmetrySystem,
     flow the integrator approximates.
     """
     rhs = built.system.rhs()
-    dvals = np.array([rhs(t, y) for t, y in zip(traj.ts, traj.states)])
+    dvals = np.array([rhs(t, y) for t, y in zip(traj.ts.tolist(),
+                                                 traj.states.tolist())])
     return SymmetryCandidate.sampled(traj.ts, traj.states, dvals,
                                      time=built.system.time)
 
@@ -362,11 +363,21 @@ def _sample_states(box: Sequence[Tuple[float, float]], nx: int,
                    seed: int) -> List[List[float]]:
     """nx seeded uniform points in the box, as float lists for the kernels."""
     _need_points(nx)
+    if seed < 0:
+        raise BadParams(f"sampling seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     pts = np.empty((nx, len(box)))
     for j, (lo, hi) in enumerate(box):
         pts[:, j] = rng.uniform(lo, hi, size=nx)
     return pts.tolist()
+
+
+def _check_channels(candidate: SymmetryCandidate, r: int) -> None:
+    """DimensionMismatch unless the candidate has channels f0, f1..fr."""
+    if candidate.r != r:
+        raise DimensionMismatch(
+            f"candidate has {candidate.r} coefficient functions, the algebra "
+            f"has {r}")
 
 
 def _thin(m: int, nt: int) -> np.ndarray:
@@ -435,9 +446,7 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
     than from structure constants.  A non-finite residual reports inf.
     """
     r = sys.r
-    if candidate.r != r:
-        raise DimensionMismatch(
-            f"candidate has {candidate.r} coefficient functions, system has {r}")
+    _check_channels(candidate, r)
     t = sys.time
 
     if candidate.is_closed_form:
@@ -513,6 +522,7 @@ def flow_transport_check(candidate: SymmetryCandidate, sys: LieSystem,
     """
     if not 0 < eps < math.inf:
         raise BadParams(f"eps must be finite and positive, got {eps}")
+    _check_channels(candidate, sys.r)
     moves = _transport_moves(candidate, sys, traj)
     defect_eps = _transport_defect(moves, sys, eps)
     defect_half = _transport_defect(moves, sys, eps / 2)
@@ -571,14 +581,14 @@ def _transport_defect(moves, sys: LieSystem, eps: float) -> float:
     worst = 0.0
     for tk, s, f0v, df0v, sdot, u, du in rows:
         t_new = tk + eps * f0v
-        z_new = s + eps * u
+        z_new = (s + eps * u).tolist()
         dt_dt = 1.0 + eps * df0v
         dz_dt = sdot + eps * du
-        if not np.all(np.isfinite(z_new)):
+        if not all(map(math.isfinite, z_new)):
             raise TransportLeftDomain(f"transport left the domain at t={tk}")
         if sys.excluded is not None and sys.excluded(z_new):
             raise TransportLeftDomain(f"transport hit the excluded locus at t={tk}")
-        x_new = np.array(drift([float(t_new)] + z_new.tolist()))
+        x_new = np.array(drift([float(t_new)] + z_new))
         defect = np.max(np.abs(dz_dt / dt_dt - x_new))
         worst = max(worst, _magnitude(float(defect)))
     return worst
@@ -605,6 +615,8 @@ def candidate_bracket(y1: SymmetryCandidate, y2: SymmetryCandidate,
     produce the new derivative channel.
     """
     t = y1.time
+    _check_channels(y1, tensor.r)
+    _check_channels(y2, tensor.r)
     if y1.is_closed_form and y2.is_closed_form:
         f, g = y1.f_exprs, y2.f_exprs
         new = [function_bracket(f[0], g[0], t)]
@@ -745,6 +757,11 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     if inits is None:
         inits = np.eye(r)
     inits = np.asarray(inits, dtype=float)
+    if inits.shape != (r, r):
+        raise DimensionMismatch(
+            f"{r} initial vectors of {r} entries needed, got shape {inits.shape}")
+    if not np.all(np.isfinite(inits)):
+        raise BadParams("initial coefficient vectors must be finite")
     if np.linalg.matrix_rank(inits) < r:
         raise DependentInitialConditions(
             "initial coefficient vectors do not span the algebra")
@@ -755,7 +772,7 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     bracket = tensor.float_bracket()
 
     def rhs(tv, f):
-        return bracket(f.tolist(), b_kernel([tv]))
+        return bracket(f, b_kernel([tv]))
 
     names = tuple(f"f{i + 1}" for i in range(r))
     trajs = [rk4_solve(rhs, inits[i], t_span, step, varnames=names)

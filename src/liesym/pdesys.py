@@ -78,7 +78,7 @@ class PDELieSystem:
     name: str = ""
     time_box: Optional[Tuple[Tuple[float, float], ...]] = None
     state_box: Optional[Tuple[Tuple[float, float], ...]] = None
-    excluded: Optional[Callable[[np.ndarray], bool]] = None
+    excluded: Optional[Callable[[Sequence[float]], bool]] = None
 
     def __post_init__(self):
         times = tuple(self.times)
@@ -324,7 +324,7 @@ def _leg_rhs(drifts: Callable, n: int, s: int) -> Callable:
                       for j in range(n))
     source = (f"def leg({', '.join(w0 + d)}):\n"
               f"    def rhs(u, yy, {', '.join(f'{a}={a}' for a in w0 + d)}):\n"
-              f"        vals = drifts([{times}] + yy.tolist())\n"
+              f"        vals = drifts([{times}] + yy)\n"
               f"        return [{comps}]\n"
               f"    return rhs\n")
     # rhs.__module__ is this module: traces name RK4 right-hand sides by it

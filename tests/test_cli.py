@@ -359,6 +359,21 @@ def test_pde_custom_path_versus_chord(tmp_path):
     assert json.loads(rep.read_text())["endpoint_gap"] <= 1e-6
 
 
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])
+def test_negative_seed_is_usage(tmp_path, monkeypatch, capsys, flag, env):
+    # the seed is checked before any artifact is written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LIESYM_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("LIESYM_SEED", env)
+    code, _ = run_cli("symmetrize", "--catalog", "dbh", "--f-init", "0,1,0,0",
+                      "--out", "s.csv", *flag)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "non-negative" in err and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_subcommand_is_usage():
     assert run_cli("bogus")[0] == EXIT_USAGE
 

@@ -16,7 +16,8 @@ from liesym import (
     parse,
     symmetry_algebra_f0_zero,
 )
-from liesym.errors import BadParams, PoleEncountered, StepNotPositive
+from liesym.errors import (BadParams, DimensionMismatch, PoleEncountered,
+                           QuadratureDiverged, StepNotPositive)
 from liesym.integrate import cumulative_simpson, rk4_solve
 
 
@@ -47,7 +48,7 @@ def test_rk4_shares_k1_between_full_and_half_step():
 
     def rhs(t, y):
         calls.append(t)
-        return -y
+        return [-v for v in y]
 
     rk4_solve(rhs, [1.0], (0.0, 1.0), 0.1)
     # 4 for the full step, 3 + 4 for the two half steps, k1 shared
@@ -68,7 +69,8 @@ def test_rk4_partial_final_step():
 def test_rk4_pole_detection():
     # dx/dt = 1 + x^2 blows up at t = pi/2
     with pytest.raises(PoleEncountered) as info:
-        rk4_solve(lambda t, y: 1 + y ** 2, [0.0], (0.0, 3.0), 1e-3)
+        rk4_solve(lambda t, y: [1 + v ** 2 for v in y], [0.0], (0.0, 3.0),
+                  1e-3)
     assert info.value.t is not None
     assert abs(info.value.t - math.pi / 2) < 0.05
 
@@ -77,6 +79,29 @@ def test_rk4_excluded_locus():
     with pytest.raises(PoleEncountered):
         rk4_solve(lambda t, y: np.array([-1.0]), [1.0], (0.0, 3.0), 1e-2,
                   excluded=lambda y: y[0] <= 0.0)
+
+
+def test_rk4_callbacks_receive_lists():
+    seen = []
+
+    def rhs(t, y):
+        seen.append(type(y))
+        return [-v for v in y]
+
+    def excluded(y):
+        seen.append(type(y))
+        return False
+
+    rk4_solve(rhs, np.array([1.0, 2.0]), (0.0, 0.2), 0.1, excluded=excluded)
+    assert seen and set(seen) == {list}
+
+
+def test_rk4_rejects_rhs_of_wrong_length():
+    # a length-1 return is not broadcast over the state
+    with pytest.raises(DimensionMismatch):
+        rk4_solve(lambda t, y: [1.0], [0.0, 0.0], (0.0, 1.0), 0.1)
+    with pytest.raises(DimensionMismatch):
+        rk4_solve(lambda t, y: [1.0, 2.0, 3.0], [0.0, 0.0], (0.0, 1.0), 0.1)
 
 
 def test_rk4_step_validation():
@@ -98,6 +123,12 @@ def test_cumulative_simpson_quadratic_exact():
     ts = step * np.arange(11)
     out = cumulative_simpson(ts ** 2, step)
     assert np.max(np.abs(out - ts ** 3 / 3)) < 1e-14
+
+
+def test_cumulative_simpson_two_samples_diverge():
+    for values in ([1.0, math.inf], [1.0, math.nan]):
+        with pytest.raises(QuadratureDiverged):
+            cumulative_simpson(values, 0.1)
 
 
 def test_cumulative_simpson_sine():
@@ -215,7 +246,7 @@ def test_golden_dbh_symmetry_system():
 
 
 def test_golden_numpy_callback():
-    rhs = lambda t, y: -y  # noqa: E731
+    rhs = lambda t, y: -np.asarray(y)  # noqa: E731
     _assert_same_trajectory(rk4_solve(rhs, [1.0, -2.5], (0.0, 2.0), 1e-2),
                             _ref_rk4_solve(rhs, [1.0, -2.5], (0.0, 2.0), 1e-2))
 

@@ -433,6 +433,15 @@ def test_candidate_bracket_of_symmetries_is_symmetry():
     assert report.exact
 
 
+@pytest.mark.parametrize("other", [(1, 0, 0, 0, 1), (1, 0, 0)])
+def test_candidate_bracket_rejects_candidates_of_wrong_shape(other):
+    # unchecked, four and five channels bracket to zeros and four and
+    # three raise IndexError
+    ya = SymmetryCandidate.closed([1, 0, 0, 0])
+    with pytest.raises(DimensionMismatch):
+        candidate_bracket(ya, SymmetryCandidate.closed(other), sl2_tensor())
+
+
 def test_candidate_bracket_channel_form():
     t = Expr.var("t")
     tensor = sl2_tensor()
@@ -528,6 +537,14 @@ def test_flow_transport_compiles_each_kernel_once(monkeypatch):
     assert len(calls) == 2 * r + 2
 
 
+@pytest.mark.parametrize("channels", [(1, 0, 0, 0, 5), (1, 0, 0)])
+def test_flow_transport_rejects_candidate_of_wrong_shape(channels):
+    # unchecked, five channels on dbh read as exact and three raise IndexError
+    sys, _, traj = dbh_transport_setup()
+    with pytest.raises(DimensionMismatch):
+        flow_transport_check(SymmetryCandidate.closed(channels), sys, traj)
+
+
 @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
 def test_flow_transport_rejects_eps_that_is_not_finite_and_positive(eps):
     # with eps = 0 both defects vanish, so a non-symmetry would read as exact
@@ -559,6 +576,30 @@ def test_symmetry_algebra_f0_zero_rejects_dependent_inits():
         symmetry_algebra_f0_zero(sys, inits=np.array([[1.0, 0, 0],
                                                       [0, 1.0, 0],
                                                       [1.0, 1.0, 0]]))
+
+
+def test_symmetry_algebra_f0_zero_rejects_inits_of_wrong_shape():
+    # unchecked, the fourth row would be dropped without notice
+    algebra = LieAlgebraBasis(sl2_line_fields())
+    sys = LieSystem(algebra, (Expr.var("t"), 0, 1))
+    with pytest.raises(DimensionMismatch):
+        symmetry_algebra_f0_zero(sys, inits=np.vstack([np.eye(3), np.ones(3)]))
+
+
+def test_symmetry_algebra_f0_zero_rejects_non_finite_inits():
+    algebra = LieAlgebraBasis(sl2_line_fields())
+    sys = LieSystem(algebra, (Expr.var("t"), 0, 1))
+    inits = np.eye(3)
+    inits[1, 2] = math.nan
+    with pytest.raises(BadParams):
+        symmetry_algebra_f0_zero(sys, inits=inits)
+
+
+def test_negative_sampling_seed_is_bad_params():
+    zero = SymmetryCandidate.sampled(np.linspace(0.0, 1.0, 5), np.zeros((5, 4)),
+                                     np.zeros((5, 4)))
+    with pytest.raises(BadParams):
+        symmetry_residual(zero, dbh_system(), nt=5, nx=5, seed=-1)
 
 
 # -- affine quadrature ---------------------------------------------------------
