@@ -9,6 +9,7 @@ raise BadParams rather than construct broken systems.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -462,6 +463,12 @@ def make(name: str, **params) -> CatalogEntry:
     except KeyError:
         raise UnknownName(
             f"unknown system {name!r}; known: {', '.join(names())}") from None
+    accepted = tuple(inspect.signature(factory).parameters)
+    unknown = [k for k in params if k not in accepted]
+    if unknown:
+        raise BadParams(
+            f"{name} does not take {', '.join(map(repr, unknown))}; "
+            f"it accepts {', '.join(accepted) or 'none'}")
     try:
         return factory(**params)
     except TypeError as exc:

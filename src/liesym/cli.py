@@ -33,6 +33,7 @@ from .catalog import _FACTORIES, CatalogEntry, make, names
 from .errors import (
     BadParams,
     DependentBasis,
+    DimensionMismatch,
     DivisionByZero,
     LiesymError,
     NotClosed,
@@ -570,7 +571,7 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
                 raise UsageError("LIESYM_SEED must be a non-negative integer")
         return _COMMANDS[args.subcommand](args, stdout)
     except (UsageError, UnknownName, BadParams, OpaqueNoEvaluator,
-            UnboundSymbol) as exc:
+            UnboundSymbol, DimensionMismatch) as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

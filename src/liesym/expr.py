@@ -13,10 +13,12 @@ Zero testing is exact on the opaque-free fragment (a rational function is
 zero iff its numerator polynomial is zero) and falls back to sampled
 evidence when opaque leaves are present.  compile_numeric lowers the
 expressions a caller evaluates together into one float kernel: a
-generated Python function that writes each entry out term by term.
-Generation changes no contract of the term interpreter it replaced: the
-floats, the denominator-first DivisionByZero and the compile-time
-errors are the same.
+generated Python function that writes each entry out term by term and
+evaluates each distinct opaque leaf at most once per call, at its first
+use in evaluation order, so evaluators must be pure functions of their
+argument.  Generation changes no contract of the term interpreter it
+replaced: the floats, the denominator-first DivisionByZero and the
+compile-time errors are the same.
 """
 
 from __future__ import annotations
@@ -750,9 +752,15 @@ def compile_numeric(exprs: Sequence[Expr],
     when a denominator vanishes.  Python's float ** int raises
     OverflowError where float64 gives +-inf; a polynomial in which that
     happens is evaluated again with _float64_pow, so an overflow reads as
-    a pole.  Opaque leaves must carry evaluators, and every variable needs
-    a slot in `order`: compilation raises OpaqueNoEvaluator or
-    UnboundSymbol otherwise.
+    a pole.  Each distinct opaque leaf, an (evaluator, slot) pair, is
+    evaluated at most once per kernel call: it is bound to a local just
+    before the first statement that reads it in evaluation order, and
+    every later term, fallback and entry reads that local.  So a leaf
+    only in a numerator is not called before its denominator is tested,
+    and evaluators must be pure functions of their argument.  Opaque
+    leaves must carry evaluators, and every variable needs a slot in
+    `order`: compilation raises OpaqueNoEvaluator or UnboundSymbol
+    otherwise.
     """
     index = {name: i for i, name in enumerate(order)}
     namespace = {"__name__": __name__, "_pow": _float64_pow,
@@ -760,6 +768,8 @@ def compile_numeric(exprs: Sequence[Expr],
     slots = set()
     # id(evaluator) -> its identifier; namespace keeps the evaluator alive
     evaluators = {}
+    # call "_fK(vJ)" -> the local "oN" bound to its value; calls bound so far
+    leaves, bound = {}, set()
 
     def slot(name: str) -> str:
         if name not in index:
@@ -767,9 +777,10 @@ def compile_numeric(exprs: Sequence[Expr],
         slots.add(index[name])
         return f"v{index[name]}"
 
-    def assign(var: str, p: Poly) -> list:
-        """Statements leaving p's value in `var`, with the overflow fallback."""
-        fast, slow = [], []
+    def assign(var: str, p: Poly) -> tuple:
+        """Statements leaving p's value in `var`, with the overflow fallback,
+        and the leaf calls they read, in evaluation order."""
+        fast, slow, reads = [], [], []
         for m, c in p.items():
             plain, calls = [], []
             for atom, e in m:
@@ -783,28 +794,39 @@ def compile_numeric(exprs: Sequence[Expr],
                 if id(f) not in evaluators:
                     evaluators[id(f)] = f"_f{len(evaluators)}"
                     namespace[evaluators[id(f)]] = f
-                calls.append((f"{evaluators[id(f)]}({arg})", e))
+                call = f"{evaluators[id(f)]}({arg})"
+                leaves.setdefault(call, f"o{len(leaves)}")
+                reads.append(call)
+                calls.append((leaves[call], e))
             factors = plain + calls
             fast.append("*".join([repr(float(c))] + [
                 v if e == 1 else f"{v}**{e}" for v, e in factors]))
             slow.append("*".join([repr(float(c))] + [
                 v if e == 1 else f"_pow({v}, {e})" for v, e in factors]))
         if fast == slow:  # no power, so no OverflowError to catch
-            return _sum_lines(var, fast)
+            return _sum_lines(var, fast), reads
         return (["try:"] + ["    " + s for s in _sum_lines(var, fast)]
                 + ["except OverflowError:"]
-                + ["    " + s for s in _sum_lines(var, slow)])
+                + ["    " + s for s in _sum_lines(var, slow)]), reads
+
+    def bind(statements: tuple) -> list:
+        """The statements, after a binding of each leaf they are first to read."""
+        lines, reads = statements
+        first = [call for call in dict.fromkeys(reads) if call not in bound]
+        bound.update(first)
+        return [f"{leaves[call]} = {call}" for call in first] + lines
 
     body = []
     for k, e in enumerate(exprs):
+        # numerator first, so compile-time errors come in that order
         num = assign(f"e{k}", e.num)
         if e.den == _ONE_POLY:
-            body += num
+            body += bind(num)
             continue
-        body += assign("d", e.den)
+        body += bind(assign("d", e.den))
         body += ["if d == 0.0:",
                  "    raise DivisionByZero('denominator vanishes at the point')"]
-        body += num + [f"e{k} = e{k} / d"]
+        body += bind(num) + [f"e{k} = e{k} / d"]
     body.append("return [" + ", ".join(f"e{k}" for k in range(len(exprs))) + "]")
     source = "\n    ".join(["def kernel(values):"]
                             + [f"v{i} = values[{i}]" for i in sorted(slots)]

@@ -53,9 +53,11 @@ def test_names_and_unknown():
 
 
 def test_unexpected_parameter_is_bad_params():
-    with pytest.raises(BadParams):
+    with pytest.raises(BadParams, match=r"^riccati does not take 'viscosity'; "
+                       r"it accepts eta, gauge_b0$"):
         make("riccati", viscosity=1)
-    with pytest.raises(BadParams):
+    with pytest.raises(BadParams, match=r"^painleve_ince does not take 'eta'; "
+                       r"it accepts none$"):
         make("painleve_ince", eta="t")
 
 

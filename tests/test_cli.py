@@ -200,6 +200,26 @@ def test_verify_flags_a_non_symmetry(tmp_path):
     assert code == EXIT_CHECK and "FAIL" in out
 
 
+@pytest.mark.parametrize("f", [["1", "t", "0"], ["1", "t", "0", "1", "0"]])
+def test_verify_candidate_of_the_wrong_size_is_usage(tmp_path, capsys, f):
+    cand = write_json(tmp_path / "c.json", {"time": "t", "f": f})
+    code, out = run_cli("verify", "--catalog", "riccati",
+                        "--param", "eta=t", "--candidate", cand)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, out
+    assert err.startswith("liesym: error: ") and err.count("\n") == 1, err
+    assert "coefficient functions, the algebra has 3" in err
+
+
+def test_unknown_catalog_parameter_is_usage(capsys):
+    code, _ = run_cli("check-algebra", "--catalog", "painleve_ince",
+                      "--param", "foo=1")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "liesym: error: painleve_ince does not take 'foo'; "
+        "it accepts none\n")
+
+
 def test_verify_usage(tmp_path):
     assert run_cli("verify", "--catalog", "dbh")[0] == EXIT_USAGE
     assert run_cli("verify", "--catalog", "dbh",

@@ -501,3 +501,69 @@ def test_generated_kernel_compiles_long_sums():
     reference = _reference_kernel(exprs, ["x", "y"])
     for point in ([0.5, 0.25], [-0.75, 3.0], [20.0, -30.0]):
         assert _bits(kernel(point)) == _bits(reference(point))
+
+
+# -- each opaque leaf is evaluated once per kernel call ------------------------
+
+
+def _counting(name, f):
+    """An opaque function whose evaluator records each argument it is called with."""
+    calls = []
+
+    def evaluator(v):
+        calls.append(v)
+        return f(v)
+
+    return OpaqueFunction(name, evaluator), calls
+
+
+def test_generated_kernel_calls_each_leaf_once_per_call():
+    sin, calls = _counting("sin", math.sin)
+    s = Expr.opaque(sin, "x")
+    # s sits in the first denominator, its numerator and the second entry
+    exprs = [s * x / (s + 1), s ** 2 - y]
+    kernel = compile_numeric(exprs, ["x", "y"])
+    reference = _reference_kernel(exprs, ["x", "y"])
+    for point in ([0.5, 2.0], [-1.25, 0.0]):
+        want = reference(point)
+        calls.clear()
+        assert _bits(kernel(point)) == _bits(want)
+        assert calls == [point[0]]
+
+
+def test_generated_kernel_tests_the_denominator_before_numerator_leaves():
+    log, calls = _counting("log", math.log)
+    exprs = [Expr.opaque(log, "x") / (x - y)]
+    kernel = compile_numeric(exprs, ["x", "y"])
+    reference = _reference_kernel(exprs, ["x", "y"])
+    with pytest.raises(DivisionByZero):
+        reference([2.0, 2.0])
+    calls.clear()
+    with pytest.raises(DivisionByZero):
+        kernel([2.0, 2.0])
+    assert calls == []
+    want = reference([2.0, 1.0])
+    calls.clear()
+    assert _bits(kernel([2.0, 1.0])) == _bits(want)
+    assert calls == [2.0]
+
+
+def test_generated_kernel_raises_compile_errors_numerator_first():
+    # z has no slot in the numerator; bare has no evaluator in the denominator
+    e = Expr.var("z") / (Expr.opaque(OpaqueFunction("bare"), "x") * x ** 2)
+    for build in (_reference_kernel, compile_numeric):
+        with pytest.raises(UnboundSymbol):
+            build([e], ["x", "y"])
+
+
+def test_generated_kernel_overflow_fallback_reads_the_bound_leaf():
+    big, calls = _counting("big", lambda v: 1e200)
+    b = Expr.opaque(big, "x")
+    exprs = [b ** 2 + b]
+    kernel = compile_numeric(exprs, ["x"])
+    want = _reference_kernel(exprs, ["x"])([1.0])
+    calls.clear()
+    got = kernel([1.0])
+    assert got == [math.inf]
+    assert _bits(got) == _bits(want)
+    assert calls == [1.0]
