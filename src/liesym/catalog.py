@@ -354,7 +354,7 @@ def _make_buchdahl(a2=None, fprofile=None, gauge_b0=0) -> CatalogEntry:
     fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
     return CatalogEntry(
         "buchdahl", sys, _tensor(2, _AFF), fams,
-        description="Buchdahl's second-order equation x'' = f(x) x'^2 - "
+        description="Buchdahl's second-order equation x'' = f(x) x'^2 + "
                     "a2(t) x' as a first-order pair on a two-field affine "
                     "basis with fixed first coefficient.")
 
@@ -457,18 +457,25 @@ def names() -> Tuple[str, ...]:
 
 
 def make(name: str, **params) -> CatalogEntry:
-    """Build a catalog entry by name; BadParams on invalid parameters."""
+    """Build a catalog entry by name; BadParams on invalid parameters.
+
+    A parameter whose default is a tuple also takes its items as one
+    comma-separated string: make("dbh", alpha="1,2,3").
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise UnknownName(
             f"unknown system {name!r}; known: {', '.join(names())}") from None
-    accepted = tuple(inspect.signature(factory).parameters)
+    accepted = inspect.signature(factory).parameters
     unknown = [k for k in params if k not in accepted]
     if unknown:
         raise BadParams(
             f"{name} does not take {', '.join(map(repr, unknown))}; "
             f"it accepts {', '.join(accepted) or 'none'}")
+    params = {k: tuple(v.split(",")) if isinstance(v, str)
+              and isinstance(accepted[k].default, tuple) else v
+              for k, v in params.items()}
     try:
         return factory(**params)
     except TypeError as exc:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import math
 import os
@@ -29,7 +28,7 @@ import re
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .catalog import _FACTORIES, CatalogEntry, make, names
+from .catalog import make, names
 from .errors import (
     BadParams,
     DependentBasis,
@@ -146,19 +145,10 @@ def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
         raise ParseError(f"bad system document: {exc}") from exc
 
 
-def _make_entry(name: str, params: Sequence[Tuple[str, str]]) -> CatalogEntry:
-    """make(name, ...) from --param pairs, splitting a value on commas
-    where the factory's default is a tuple (dbh alpha=1,2,3)."""
-    sig = inspect.signature(_FACTORIES.get(name, make)).parameters
-    tuples = {k for k, p in sig.items() if isinstance(p.default, tuple)}
-    return make(name, **{k: tuple(v.split(",")) if k in tuples else v
-                         for k, v in params})
-
-
 def _resolve_system(args: argparse.Namespace):
     """Returns (system, entry-or-None) from --catalog or --input."""
     if args.catalog is not None:
-        entry = _make_entry(args.catalog, args.param)
+        entry = make(args.catalog, **dict(args.param))
         return entry.system, entry
     if args.input is None:
         raise UsageError("give --catalog NAME or --input FILE")
@@ -241,7 +231,7 @@ def _cmd_list(args: argparse.Namespace, stdout) -> int:
 
 
 def _cmd_show(args: argparse.Namespace, stdout) -> int:
-    entry = _make_entry(args.name, args.param)
+    entry = make(args.name, **dict(args.param))
     sysobj = entry.system
     print(f"name: {entry.name}", file=stdout)
     print(f"kind: {entry.kind}", file=stdout)
@@ -392,8 +382,7 @@ def _cmd_pde(args: argparse.Namespace, stdout) -> int:
     integrable = True
     built_curv = None
     try:
-        built = build_pde_symmetry_system(sysobj, tol=args.tol)
-        built_curv = curvature_residual(built.system)
+        built_curv = build_pde_symmetry_system(sysobj, tol=args.tol).curvature
     except NotIntegrable:
         integrable = False
 

@@ -29,7 +29,6 @@ class Trajectory:
     err_est: np.ndarray
     varnames: Tuple[str, ...]
     step: float
-    method: str = "rk4"
 
     def __post_init__(self):
         if len(self.ts) != len(self.states) or len(self.ts) != len(self.err_est):

@@ -23,7 +23,8 @@ brackets that never touch the builder's formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -46,29 +47,30 @@ from .vectorfield import VectorField, autonomize, lie_bracket
 
 
 @dataclass(frozen=True)
-class LieSystem:
-    """dx/dt = sum_a coeffs[a](t) algebra.fields[a](x), plus a gauge b0."""
+class _SystemCore:
+    """What single- and multi-time Lie systems share: a basis, one
+    coefficient entry per basis field, and where states are sampled."""
 
     algebra: LieAlgebraBasis
-    coeffs: Tuple[Expr, ...]
-    gauge: Expr = field(default_factory=Expr.zero)
-    time: str = "t"
+    coeffs: tuple
+    _: KW_ONLY
     name: str = ""
     state_box: Optional[Tuple[Tuple[float, float], ...]] = None
     excluded: Optional[Callable[[Sequence[float]], bool]] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(Expr._coerce(c) for c in self.coeffs))
-        object.__setattr__(self, "gauge", Expr._coerce(self.gauge))
-        if len(self.coeffs) != self.algebra.r:
+    def _check(self, times: Tuple[str, ...]) -> None:
+        """DimensionMismatch unless coeffs, times and state_box fit the basis."""
+        if len(self.coeffs) != self.r:
             raise DimensionMismatch(
-                f"{self.algebra.r} basis fields but {len(self.coeffs)} "
-                f"coefficient functions")
-        if self.time in self.algebra.vars:
+                f"{self.r} basis fields but {len(self.coeffs)} coefficients")
+        clash = set(times) & set(self.vars)
+        if clash:
             raise DimensionMismatch(
-                f"time symbol {self.time} clashes with a state coordinate")
-        _check_state_box(self.state_box, self.algebra.vars)
+                f"time symbols {sorted(clash)} clash with state coordinates")
+        if self.state_box is not None and len(self.state_box) != len(self.vars):
+            raise DimensionMismatch(
+                f"state box has {len(self.state_box)} intervals for "
+                f"{len(self.vars)} state coordinates")
 
     @property
     def r(self) -> int:
@@ -77,6 +79,23 @@ class LieSystem:
     @property
     def vars(self) -> Tuple[str, ...]:
         return self.algebra.vars
+
+    def default_box(self) -> Tuple[Tuple[float, float], ...]:
+        return self.state_box or tuple((-2.0, 2.0) for _ in self.vars)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LieSystem(_SystemCore):
+    """dx/dt = sum_a coeffs[a](t) algebra.fields[a](x), plus a gauge b0."""
+
+    gauge: Expr = field(default_factory=Expr.zero)
+    time: str = "t"
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs",
+                           tuple(Expr._coerce(c) for c in self.coeffs))
+        object.__setattr__(self, "gauge", Expr._coerce(self.gauge))
+        self._check((self.time,))
 
     def drift_field(self) -> VectorField:
         """The field sum_a b_a(t) X_a on state space, time as a parameter."""
@@ -94,16 +113,6 @@ class LieSystem:
             return kernel([t] + y)
 
         return f
-
-    def default_box(self) -> Tuple[Tuple[float, float], ...]:
-        return self.state_box or tuple((-2.0, 2.0) for _ in self.vars)
-
-
-def _check_state_box(box, vars: Tuple[str, ...]) -> None:
-    if box is not None and len(box) != len(vars):
-        raise DimensionMismatch(
-            f"state box has {len(box)} intervals for {len(vars)} state "
-            f"coordinates")
 
 
 def integrate(sys: LieSystem, x0: Sequence[float],
@@ -232,20 +241,43 @@ def vertical_symmetry_dimension(tensor: StructureTensor) -> int:
 # -- candidates --------------------------------------------------------------
 
 
-def _check_representation(cand, sampled: Tuple[str, ...]) -> None:
-    """A candidate is closed form (f_exprs) or sampled (every named channel)."""
-    present = [getattr(cand, name) is not None for name in sampled]
-    if cand.f_exprs is not None:
-        if any(present):
+@dataclass(frozen=True, eq=False, kw_only=True)
+class _CandidateCore:
+    """What single- and multi-time symmetry candidates share.
+
+    A candidate is closed form (f_exprs) or sampled: the sample points,
+    in the field a subclass names in _points, with values and dvalues.
+    """
+
+    f_exprs: Optional[Tuple[Expr, ...]] = None
+    values: Optional[np.ndarray] = None
+    dvalues: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        sampled = (self._points, "values", "dvalues")
+        present = [getattr(self, name) is not None for name in sampled]
+        if self.f_exprs is not None:
+            if any(present):
+                raise DimensionMismatch(
+                    "candidate carries both closed-form and sampled data")
+            object.__setattr__(
+                self, "f_exprs", tuple(Expr._coerce(e) for e in self.f_exprs))
+            return
+        if not all(present):
             raise DimensionMismatch(
-                "candidate carries both closed-form and sampled data")
-    elif not all(present):
-        raise DimensionMismatch(f"sampled candidate needs "
-                                f"{', '.join(sampled[:-1])} and {sampled[-1]}")
+                f"sampled candidate needs {sampled[0]}, values and dvalues")
+        for name in sampled:
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        self._check_shapes()
+
+    @property
+    def is_closed_form(self) -> bool:
+        return self.f_exprs is not None
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryCandidate:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class SymmetryCandidate(_CandidateCore):
     """A candidate symmetry Y = f0 d/dt + sum_a f_a X_a.
 
     Either closed form (exprs in the time symbol) or sampled on a grid
@@ -254,26 +286,14 @@ class SymmetryCandidate:
     """
 
     time: str = "t"
-    f_exprs: Optional[Tuple[Expr, ...]] = None
     grid: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    dvalues: Optional[np.ndarray] = None
+    _points = "grid"
 
-    def __post_init__(self):
-        _check_representation(self, ("grid", "values", "dvalues"))
-        if self.f_exprs is not None:
-            object.__setattr__(
-                self, "f_exprs", tuple(Expr._coerce(e) for e in self.f_exprs))
-            return
-        grid = np.asarray(self.grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        dvals = np.asarray(self.dvalues, dtype=float)
-        if (vals.ndim != 2 or dvals.shape != vals.shape
-                or grid.shape != (vals.shape[0],)):
+    def _check_shapes(self) -> None:
+        vals = self.values
+        if (vals.ndim != 2 or self.dvalues.shape != vals.shape
+                or self.grid.shape != (vals.shape[0],)):
             raise DimensionMismatch("candidate channel shapes disagree")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "dvalues", dvals)
 
     @staticmethod
     def closed(f_exprs: Sequence, time: str = "t") -> "SymmetryCandidate":
@@ -286,10 +306,6 @@ class SymmetryCandidate:
                                  dvalues=dvalues)
 
     @property
-    def is_closed_form(self) -> bool:
-        return self.f_exprs is not None
-
-    @property
     def r(self) -> int:
         if self.is_closed_form:
             return len(self.f_exprs) - 1
@@ -300,13 +316,19 @@ class SymmetryCandidate:
             raise MissingDerivative("sampled candidate has no gauge expression")
         return self.f_exprs[0].diff(self.time)
 
+    @cached_property
+    def _channel_kernel(self):
+        """f and df/dt in one kernel, built by the first closed-form
+        channels_at: diff can raise, and many candidates are never sampled."""
+        return compile_numeric(
+            self.f_exprs + tuple(e.diff(self.time) for e in self.f_exprs),
+            [self.time])
+
     def channels_at(self, ts: np.ndarray):
         """(values, dvalues) arrays at the given times."""
         if self.is_closed_form:
             m = len(self.f_exprs)
-            kernel = compile_numeric(
-                self.f_exprs + tuple(e.diff(self.time) for e in self.f_exprs),
-                [self.time])
+            kernel = self._channel_kernel
             rows = np.array([kernel([t]) for t in np.asarray(ts, dtype=float).tolist()])
             rows = rows.reshape(len(ts), 2 * m)
             return rows[:, :m], rows[:, m:]

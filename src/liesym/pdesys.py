@@ -51,9 +51,9 @@ from .integrate import Trajectory, rk4_solve
 from .liealg import LieAlgebraBasis, StructureTensor
 from .liesys import (
     ResidualReport,
+    _CandidateCore,
+    _SystemCore,
     _bracket_residual,
-    _check_representation,
-    _check_state_box,
     _fold_generators,
     _magnitude,
     _pair_weights,
@@ -64,21 +64,15 @@ from .liesys import (
 from .vectorfield import VectorField, jet_var, lie_bracket, prolong_first
 
 
-@dataclass(frozen=True)
-class PDELieSystem:
+@dataclass(frozen=True, kw_only=True)
+class PDELieSystem(_SystemCore):
     """dx/dt_l = sum_a coeffs[a][l](times) algebra.fields[a](x).
 
     coeffs is an r-by-s matrix of expressions in the time symbols; row a
     holds the coefficients of basis field a across the s directions.
     """
 
-    algebra: LieAlgebraBasis
-    coeffs: Tuple[Tuple[Expr, ...], ...]
     times: Tuple[str, ...] = ("t1", "t2")
-    name: str = ""
-    time_box: Optional[Tuple[Tuple[float, float], ...]] = None
-    state_box: Optional[Tuple[Tuple[float, float], ...]] = None
-    excluded: Optional[Callable[[Sequence[float]], bool]] = None
 
     def __post_init__(self):
         times = tuple(self.times)
@@ -88,37 +82,18 @@ class PDELieSystem:
             raise BadParams(f"between 1 and 3 time variables, got {len(times)}")
         if len(set(times)) != len(times):
             raise DimensionMismatch(f"repeated time symbol in {times}")
-        clash = set(times) & set(self.algebra.vars)
-        if clash:
-            raise DimensionMismatch(
-                f"time symbols {sorted(clash)} clash with state coordinates")
-        rows = tuple(tuple(Expr._coerce(c) for c in row) for row in self.coeffs)
-        object.__setattr__(self, "coeffs", rows)
-        if len(rows) != self.algebra.r:
-            raise DimensionMismatch(
-                f"{self.algebra.r} basis fields but {len(rows)} coefficient rows")
-        for a, row in enumerate(rows):
+        object.__setattr__(self, "coeffs", tuple(
+            tuple(Expr._coerce(c) for c in row) for row in self.coeffs))
+        self._check(times)
+        for a, row in enumerate(self.coeffs):
             if len(row) != len(times):
                 raise DimensionMismatch(
                     f"coefficient row {a} has {len(row)} entries for "
                     f"{len(times)} time directions")
-        if self.time_box is not None and len(self.time_box) != len(times):
-            raise DimensionMismatch(
-                f"time box has {len(self.time_box)} intervals for "
-                f"{len(times)} time directions")
-        _check_state_box(self.state_box, self.algebra.vars)
-
-    @property
-    def r(self) -> int:
-        return self.algebra.r
 
     @property
     def s(self) -> int:
         return len(self.times)
-
-    @property
-    def vars(self) -> Tuple[str, ...]:
-        return self.algebra.vars
 
     def drift_field(self, l: int) -> VectorField:
         """sum_a coeffs[a][l] X_a on state space, times as parameters."""
@@ -132,16 +107,10 @@ class PDELieSystem:
         return VectorField(self.times + self.vars,
                            tuple(head) + drift.components)
 
-    def default_time_box(self) -> Tuple[Tuple[float, float], ...]:
-        return self.time_box or tuple((0.0, 1.0) for _ in self.times)
-
-    def default_box(self) -> Tuple[Tuple[float, float], ...]:
-        return self.state_box or tuple((-2.0, 2.0) for _ in self.vars)
-
 
 def time_grid(sys: PDELieSystem) -> np.ndarray:
-    """Dense lattice over the declared time box, shape (5**s, s)."""
-    axes = [np.linspace(lo, hi, 5) for lo, hi in sys.default_time_box()]
+    """Dense lattice over the unit time box, shape (5**s, s)."""
+    axes = [np.linspace(0.0, 1.0, 5)] * sys.s
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -218,7 +187,7 @@ def curvature_residual(sys: PDELieSystem) -> ResidualReport:
 
     With a single time direction there is nothing to check.  When every
     entry simplifies to zero the report is exact; otherwise the entries
-    are evaluated on the dense lattice over the declared time box and
+    are evaluated on the dense lattice over the unit time box and
     the worst point wins, a non-finite entry counting as inf.  worst
     names the (field, time k, time l) indices of the largest entry.
     """
@@ -254,11 +223,13 @@ def pde_symmetry_basis(tensor: StructureTensor) -> List[VectorField]:
 
 @dataclass(frozen=True)
 class PDESymmetrySystem:
-    """The symmetry system as a multi-time Lie system on f-space."""
+    """The symmetry system as a multi-time Lie system on f-space, with
+    the curvature report of that system, which the builder checks."""
 
     system: PDELieSystem
     source: PDELieSystem
     y_fields: Tuple[VectorField, ...]
+    curvature: ResidualReport
 
 
 def build_pde_symmetry_system(sys: PDELieSystem,
@@ -295,14 +266,13 @@ def build_pde_symmetry_system(sys: PDELieSystem,
         LieAlgebraBasis(kept),
         tuple(tuple(row) for row in kept_rows),
         times=sys.times,
-        name=f"symmetry-system({sys.name})" if sys.name else "symmetry-system",
-        time_box=sys.time_box)
+        name=f"symmetry-system({sys.name})" if sys.name else "symmetry-system")
     own = curvature_residual(inner)
     if not own.max_abs <= tol:
         raise NotIntegrable(
             f"constructed system has curvature residual {own.max_abs:g}",
             residual=own.max_abs)
-    return PDESymmetrySystem(inner, sys, tuple(y_fields))
+    return PDESymmetrySystem(inner, sys, tuple(y_fields), own)
 
 
 # -- path integration ---------------------------------------------------------
@@ -369,8 +339,8 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
 # -- symmetry candidates and the dual residual oracle -------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PDESymmetryCandidate:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class PDESymmetryCandidate(_CandidateCore):
     """A vertical candidate Y = sum_a f_a(t1..ts) X_a.
 
     Closed form carries one expression per basis field; sampled form
@@ -379,51 +349,37 @@ class PDESymmetryCandidate:
     """
 
     times: Tuple[str, ...]
-    f_exprs: Optional[Tuple[Expr, ...]] = None
     tpoints: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    dvalues: Optional[np.ndarray] = None
+    _points = "tpoints"
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
-        _check_representation(self, ("tpoints", "values", "dvalues"))
-        if self.f_exprs is not None:
-            object.__setattr__(
-                self, "f_exprs", tuple(Expr._coerce(e) for e in self.f_exprs))
-            return
-        tp = np.asarray(self.tpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        dvals = np.asarray(self.dvalues, dtype=float)
+        super().__post_init__()
+
+    def _check_shapes(self) -> None:
+        tp, vals = self.tpoints, self.values
         if tp.ndim != 2 or tp.shape[1] != len(self.times):
             raise DimensionMismatch(
                 f"tpoints must have shape (m, {len(self.times)})")
         if vals.ndim != 2 or vals.shape[0] != tp.shape[0]:
             raise DimensionMismatch("values must have shape (m, r)")
-        if dvals.shape != vals.shape + (len(self.times),):
+        if self.dvalues.shape != vals.shape + (len(self.times),):
             raise DimensionMismatch("dvalues must have shape (m, r, s)")
-        object.__setattr__(self, "tpoints", tp)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "dvalues", dvals)
 
     @staticmethod
     def closed(f_exprs: Sequence,
                times: Sequence[str] = ("t1", "t2")) -> "PDESymmetryCandidate":
-        return PDESymmetryCandidate(
-            times=tuple(times), f_exprs=tuple(Expr._coerce(e) for e in f_exprs))
+        return PDESymmetryCandidate(times=times, f_exprs=tuple(f_exprs))
 
     @staticmethod
     def sampled(tpoints, values, dvalues,
                 times: Sequence[str] = ("t1", "t2")) -> "PDESymmetryCandidate":
-        return PDESymmetryCandidate(times=tuple(times), tpoints=tpoints,
+        return PDESymmetryCandidate(times=times, tpoints=tpoints,
                                     values=values, dvalues=dvalues)
 
     @property
-    def is_closed_form(self) -> bool:
-        return self.f_exprs is not None
-
-    @property
     def r(self) -> int:
-        if self.f_exprs is not None:
+        if self.is_closed_form:
             return len(self.f_exprs)
         return self.values.shape[1]
 

@@ -61,6 +61,14 @@ def test_unexpected_parameter_is_bad_params():
         make("painleve_ince", eta="t")
 
 
+def test_tuple_parameters_take_comma_separated_strings():
+    split = make("dbh", alpha="1,2,3").system.algebra.fields
+    assert split == make("dbh", alpha=(1, 2, 3)).system.algebra.fields
+    assert split != make("dbh").system.algebra.fields
+    times = make("partial_riccati", times="t1,t2,t3").system.times
+    assert times == ("t1", "t2", "t3")
+
+
 def test_every_entry_reproduces_its_frozen_tensor():
     for n in names():
         entry = make(n)
@@ -184,6 +192,12 @@ def test_buchdahl_reduces_to_the_affine_symmetry_system():
     bu_rhs = [str(e) for e in bu.rhs_exprs]
     assert bu_rhs == [str(e) for e in af.rhs_exprs]
     assert bu_rhs == ["0", "-@a2(t)*f1 - f2", "-@a2'(t)*f0"]
+
+
+def test_buchdahl_drift_has_the_described_sign():
+    # x'' = f(x) x'^2 + a2(t) x' with f(x) = x and a2(t) = t
+    drift = make("buchdahl", a2="t", fprofile="x").system.drift_field()
+    assert [str(c) for c in drift.components] == ["v", "v^2*x + t*v"]
 
 
 def test_affine_quadrature_candidate_passes_the_oracle():

@@ -346,6 +346,27 @@ def test_pde_flat_default(tmp_path):
     assert doc["built_curvature"]["max_abs"] == 0.0
 
 
+def test_pde_computes_each_curvature_once(monkeypatch, tmp_path):
+    import liesym.cli
+    import liesym.pdesys
+
+    calls = []
+    real = liesym.pdesys.curvature_residual
+
+    def counting(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(liesym.pdesys, "curvature_residual", counting)
+    monkeypatch.setattr(liesym.cli, "curvature_residual", counting)
+    code, _ = run_cli("pde", "--catalog", "partial_riccati",
+                      "--out", str(tmp_path / "p.csv"),
+                      "--report", str(tmp_path / "p.json"))
+    assert code == EXIT_OK
+    # the source in the CLI and in the builder, then the built system once
+    assert len(calls) == 3
+
+
 def test_pde_perturbed_reports_and_fails(tmp_path):
     src = write_json(tmp_path / "pert.json", PERTURBED)
     rep = tmp_path / "r.json"

@@ -146,7 +146,7 @@ def test_numerical_fallback_trig_basis():
     fields = [VectorField(["x"], [Expr.opaque(sinf, "x")]),
               VectorField(["x"], [Expr.opaque(cosf, "x")]),
               VectorField(["x"], [1])]
-    tensor, method = extract_structure_constants(fields, seed=42)
+    tensor, method = extract_structure_constants(fields)
     assert method == "numerical"
     expected = StructureTensor(3)
     expected.set(0, 1, 2, -1)  # [sin d, cos d] = -d

@@ -740,6 +740,43 @@ def test_directly_built_candidate_checks_channel_shapes():
                           dvalues=np.zeros(5))
 
 
+def test_closed_candidate_compiles_its_channels_once(monkeypatch):
+    import liesym.liesys
+
+    compiled = []
+    real = liesym.liesys.compile_numeric
+
+    def counting(*args, **kwargs):
+        compiled.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liesym.liesys, "compile_numeric", counting)
+    t = Expr.var("t")
+    cand = SymmetryCandidate.closed([t, t * t, 1 + t, Expr.const(2)])
+    ts = np.linspace(0.0, 1.0, 7)
+    vals, dvals = cand.channels_at(ts)
+    again, dagain = cand.channels_at(ts[2:5])
+    assert len(compiled) == 1
+    assert np.array_equal(again, vals[2:5]) and np.array_equal(dagain, dvals[2:5])
+
+
+@pytest.mark.parametrize("cls, coeffs, clash", [
+    (LieSystem, (1, 0, 1), {"time": "x"}),
+    (PDELieSystem, ((1, 1), (0, 0), (1, 1)), {"times": ("x", "t2")}),
+])
+def test_single_and_multi_time_systems_share_their_checks(cls, coeffs, clash):
+    algebra = LieAlgebraBasis(sl2_line_fields())
+    assert cls(algebra, coeffs).r == 3
+    with pytest.raises(DimensionMismatch):
+        cls(algebra, coeffs[:2])
+    with pytest.raises(DimensionMismatch):
+        cls(algebra, coeffs, **clash)
+    with pytest.raises(DimensionMismatch):
+        cls(algebra, coeffs, state_box=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(TypeError):
+        cls(algebra, coeffs, Expr.zero())
+
+
 # -- sampling edge cases and input checks ----------------------------------------
 
 
