@@ -58,7 +58,6 @@ from .pdesys import (
     PDESymmetryCandidate,
     TimePath,
     build_pde_symmetry_system,
-    curvature_residual,
     integrate_along_path,
     pde_symmetry_residual,
 )
@@ -372,19 +371,20 @@ def _cmd_pde(args: argparse.Namespace, stdout) -> int:
         path_a = _staircase(sysobj.s, reverse=False)
         path_b = _staircase(sysobj.s, reverse=True)
 
-    curv = curvature_residual(sysobj)
+    # the builder reports the source curvature whether or not it succeeds
+    integrable = True
+    built_curv = None
+    try:
+        built = build_pde_symmetry_system(sysobj, tol=args.tol)
+        curv, built_curv = built.source_curvature, built.curvature
+    except NotIntegrable as exc:
+        integrable = False
+        curv = exc.source_curvature
     traj_a = integrate_along_path(sysobj, x0, path_a)
     traj_b = integrate_along_path(sysobj, x0, path_b)
     end_a = [float(v) for v in traj_a.states[-1]]
     end_b = [float(v) for v in traj_b.states[-1]]
     gap = max(abs(p - q) for p, q in zip(end_a, end_b))
-
-    integrable = True
-    built_curv = None
-    try:
-        built_curv = build_pde_symmetry_system(sysobj, tol=args.tol).curvature
-    except NotIntegrable:
-        integrable = False
 
     out = args.out or "pde.csv"
     _write_csv(out, ("u",) + sysobj.vars + ("err_est",),

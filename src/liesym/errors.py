@@ -79,11 +79,16 @@ class TransportLeftDomain(LiesymError):
 
 
 class NotIntegrable(LiesymError):
-    """A PDE Lie system fails its zero-curvature compatibility condition."""
+    """A PDE Lie system fails its zero-curvature compatibility condition.
 
-    def __init__(self, message, residual=None):
+    source_curvature is the curvature report of the system the builder
+    was given, when it got that far.
+    """
+
+    def __init__(self, message, residual=None, source_curvature=None):
         super().__init__(message)
         self.residual = residual
+        self.source_curvature = source_curvature
 
 
 class DependentInitialConditions(LiesymError):

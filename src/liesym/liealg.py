@@ -4,12 +4,18 @@ Structure constants are extracted by matching monomial coefficients
 exactly over the rationals; opaque leaves count as independent symbols,
 which keeps the match exact for bases like Buchdahl's f(x)-dependent
 fields.  When exact matching fails and opaque leaves are present, a
-64-point least-squares fallback is attempted and the result is flagged
-as numerical.
+64-point least-squares fallback, sampled with the standard library's
+random.Random(0), is attempted and the result is flagged as numerical.
+
+Extraction is the oracle: LieAlgebraBasis(fields) runs it, check-algebra
+and the catalog bases rely on it.  The symmetry-system builders derive
+their tensor from the source tensor instead and hand it to
+LieAlgebraBasis._known.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -249,8 +255,8 @@ def extract_structure_constants(fields: Sequence[VectorField]
 def _numeric_fallback(fields, bracket, a, b):
     """Sampled least-squares solve of [Xa, Xb] = sum_g c_g Xg.
 
-    64 points per coordinate, drawn from seed 0; the fit must leave a
-    residual of at most 1e-9.
+    64 points per coordinate, drawn by random.Random(0); the fit must
+    leave a residual of at most 1e-9.
     """
     vars0 = fields[0].vars
     comps = [c for f in list(fields) + [bracket] for c in f.components]
@@ -265,14 +271,14 @@ def _numeric_fallback(fields, bracket, a, b):
         raise NotClosed(
             f"bracket [X{a + 1}, X{b + 1}] left the exact span and the "
             f"numerical fallback cannot evaluate the fields: {exc}") from exc
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     rows, rhs = [], []
     attempts = 0
     while len(rows) < 64 * n and attempts < 640:
         attempts += 1
-        pt = rng.uniform(0.3, 1.7, size=len(order))
+        pt = [rng.uniform(0.3, 1.7) for _ in order]
         try:
-            vals = kernel(pt.tolist())
+            vals = kernel(pt)
         except Exception:
             continue
         for i in range(n):
@@ -294,13 +300,26 @@ def _numeric_fallback(fields, bracket, a, b):
 
 
 class LieAlgebraBasis:
-    """A basis of vector fields with its extracted structure tensor."""
+    """A basis of vector fields with its structure tensor.
+
+    The constructor extracts the tensor; _known takes one that is already
+    known, as the symmetry-system builders derive it from their source.
+    """
 
     __slots__ = ("fields", "tensor", "method")
 
     def __init__(self, fields: Sequence[VectorField]):
         self.fields = tuple(fields)
         self.tensor, self.method = extract_structure_constants(self.fields)
+
+    @classmethod
+    def _known(cls, fields: Sequence[VectorField], tensor: StructureTensor,
+               method: str) -> "LieAlgebraBasis":
+        """A basis whose tensor and method are given, trusted unchecked."""
+        basis = cls.__new__(cls)
+        basis.fields = tuple(fields)
+        basis.tensor, basis.method = tensor, method
+        return basis
 
     @property
     def r(self) -> int:

@@ -15,14 +15,18 @@ The sum is the Lie bracket of coefficient vectors,
 df/dt = f0 b' + b0 b + [f, b]: the vertical generators are Y_a = [f, e_a]
 and the f0 = 0 reduced flow is df/dt = [f, b(t)].
 
-build_symmetry_system constructs that system from the structure tensor;
-symmetry_residual re-checks any candidate through honest vector-field
-brackets that never touch the builder's formula.
+build_symmetry_system constructs that system from the structure tensor,
+and derives the structure tensor of its own basis from the source one
+rather than extracting it again; symmetry_residual re-checks any
+candidate through honest vector-field brackets that never touch the
+builder's formula.  Sampled checks draw their states with the standard
+library's random.Random: a seed gives the same points on every run.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -139,36 +143,91 @@ def _y_generators(tensor: StructureTensor,
             for unit in np.eye(r, dtype=int).tolist()]
 
 
-def _fold_generators(tensor: StructureTensor,
+def _fold_coefficients(tensor: StructureTensor) -> List[Optional[List[Fraction]]]:
+    """Which generators Y_a of the tensor are kept, and how the others fold.
+
+    Entry a is None when Y_a is kept, and otherwise the exact c_j with
+    Y_a = sum_j c_j kept[j] over the generators kept before it; a zero
+    generator gets no coefficients at all.  A dependency is solved on the
+    coefficients c_bag of f_b d/df_g, flattened over (b, g).
+    """
+    r = tensor.r
+    kept_vecs: List[List[Fraction]] = []
+    combos: List[Optional[List[Fraction]]] = []
+    for a in range(r):
+        vec = [tensor.c(b, a, g) for b in range(r) for g in range(r)]
+        combo = rlinalg.solve(list(zip(*kept_vecs)), vec)
+        if combo is None:
+            kept_vecs.append(vec)
+        combos.append(combo)
+    return combos
+
+
+def _fold_generators(combos: Sequence[Optional[Sequence[Fraction]]],
                      y_fields: Sequence[VectorField],
                      rows: Sequence[Sequence[Expr]]
                      ) -> Tuple[List[VectorField], List[List[Expr]]]:
     """Fold dependent generators, zero ones included, into the kept ones.
 
-    y_fields are the Y_a of the tensor, whose exact coefficients c_bag of
-    f_b d/df_g, flattened over (b, g), are the vectors a dependency is
-    solved on.  rows[a] holds the coefficients of y_fields[a], one per
-    time direction; a generator equal to sum_j c_j kept[j] adds c_j times
-    its row to the row of kept[j], which leaves the combined field
-    unchanged.
+    combos is _fold_coefficients of the tensor whose Y_a are y_fields.
+    rows[a] holds the coefficients of y_fields[a], one per time
+    direction; a generator equal to sum_j c_j kept[j] adds c_j times its
+    row to the row of kept[j], which leaves the combined field unchanged.
     """
-    r = tensor.r
     kept: List[VectorField] = []
     kept_rows: List[List[Expr]] = []
-    kept_vecs: List[List[Fraction]] = []
-    for a, (y, row) in enumerate(zip(y_fields, rows)):
-        vec = [tensor.c(b, a, g) for b in range(r) for g in range(r)]
-        combo = rlinalg.solve(list(zip(*kept_vecs)), vec)
+    for y, row, combo in zip(y_fields, rows, combos):
         if combo is None:
             kept.append(y)
             kept_rows.append(list(row))
-            kept_vecs.append(vec)
             continue
         for j, c in enumerate(combo):
             if c:
                 kept_rows[j] = [k + Expr.const(c) * e
                                 for k, e in zip(kept_rows[j], row)]
     return kept, kept_rows
+
+
+def _symmetry_tensor(tensor: StructureTensor,
+                     combos: Sequence[Optional[Sequence[Fraction]]],
+                     with_zw: bool) -> StructureTensor:
+    """Structure constants of a symmetry system's basis, read off the source.
+
+    The basis is Z_0..Z_r, W_1..W_r and the kept Y_a with_zw, as
+    build_symmetry_system lays it out, and the kept Y_a alone without.
+    Every one of these fields is affine in f, so the source tensor fixes
+    their brackets; with 0-based source indices,
+        [Z_0, W_a] = Z_a,    [Z_b, Y_a] = sum_g c_bag Z_g,
+        [W_b, Y_a] = sum_g c_bag W_g,    [Y_a, Y_b] = sum_g c_abg Y_g,
+    every other bracket vanishes, and a folded Y_g is rewritten on the
+    kept ones through its combos entry.
+    """
+    r = tensor.r
+    kept = [a for a, combo in enumerate(combos) if combo is None]
+    lead = 2 * r + 1 if with_zw else 0
+    out = StructureTensor(lead + len(kept))
+    y_terms = [[(kept.index(g), Fraction(1))] if combo is None
+               else list(enumerate(combo)) for g, combo in enumerate(combos)]
+    for p, a in enumerate(kept):
+        if with_zw:
+            for b in range(r):
+                for g in range(r):
+                    c = tensor.c(b, a, g)
+                    out.set(1 + b, lead + p, 1 + g, c)
+                    out.set(r + 1 + b, lead + p, r + 1 + g, c)
+        for q in range(p + 1, len(kept)):
+            acc = [Fraction(0)] * len(kept)
+            for g in range(r):
+                c = tensor.c(a, kept[q], g)
+                if c:
+                    for j, v in y_terms[g]:
+                        acc[j] += c * v
+            for j, v in enumerate(acc):
+                out.set(lead + p, lead + q, lead + j, v)
+    if with_zw:
+        for a in range(r):
+            out.set(0, r + 1 + a, 1 + a, 1)
+    return out
 
 
 def symmetry_system_basis(tensor: StructureTensor):
@@ -214,19 +273,24 @@ def build_symmetry_system(sys: LieSystem) -> SymmetrySystem:
     The Vessiot-Guldberg generators are the Z, W and Y fields; linearly
     dependent Y fields (present whenever the algebra has a center) are
     folded into the kept ones with exact coefficient rewriting, so the
-    returned basis is a genuine basis.
+    returned basis is a genuine basis.  Its structure tensor is derived
+    from the source tensor (_symmetry_tensor), not extracted, and is
+    labelled numerical exactly when the source's is.
     """
     t = sys.time
     b = sys.coeffs
     b0 = sys.gauge
     tensor = sys.algebra.tensor
     z_fields, w_fields, y_fields = symmetry_system_basis(tensor)
-    kept, kept_rows = _fold_generators(tensor, y_fields, [[ba] for ba in b])
+    combos = _fold_coefficients(tensor)
+    kept, kept_rows = _fold_generators(combos, y_fields, [[ba] for ba in b])
 
     fields = list(z_fields) + list(w_fields) + kept
     coeffs = ([b0] + [b0 * ba for ba in b] + [ba.diff(t) for ba in b]
               + [row[0] for row in kept_rows])
-    algebra = LieAlgebraBasis(fields)
+    algebra = LieAlgebraBasis._known(
+        fields, _symmetry_tensor(tensor, combos, with_zw=True),
+        sys.algebra.method)
     inner = LieSystem(algebra, tuple(coeffs), gauge=Expr.zero(), time=t,
                       name=f"symmetry-system({sys.name})" if sys.name else "symmetry-system")
     return SymmetrySystem(inner, sys, tuple(z_fields), tuple(w_fields),
@@ -383,15 +447,17 @@ def _need_points(count: int) -> None:
 
 def _sample_states(box: Sequence[Tuple[float, float]], nx: int,
                    seed: int) -> List[List[float]]:
-    """nx seeded uniform points in the box, as float lists for the kernels."""
+    """nx seeded uniform points in the box, as float lists for the kernels.
+
+    random.Random(seed) draws the points coordinate by coordinate: all nx
+    values of the first coordinate, then of the second, and so on.
+    """
     _need_points(nx)
     if seed < 0:
         raise BadParams(f"sampling seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    pts = np.empty((nx, len(box)))
-    for j, (lo, hi) in enumerate(box):
-        pts[:, j] = rng.uniform(lo, hi, size=nx)
-    return pts.tolist()
+    rng = random.Random(seed)
+    cols = [[rng.uniform(lo, hi) for _ in range(nx)] for lo, hi in box]
+    return [list(pt) for pt in zip(*cols)]
 
 
 def _check_channels(candidate: SymmetryCandidate, r: int) -> None:

@@ -22,12 +22,13 @@ into another multi-time system on the coefficients,
 
     df_p/dt_l = sum_{a,d} b[a][l] f_d c_dap,   i.e.   df/dt_l = [f, b_l],
 
-which build_pde_symmetry_system constructs and whose own curvature it
-re-checks rather than assumes.  pde_symmetry_residual verifies
-candidates through two independent routes: the direct brackets
-[d/dt_l + X_l, Y], and the first jet prolongation of Y applied to the
-defining equations restricted to their zero set.  The two routes agree
-identically; the report carries both so the agreement stays observable.
+which build_pde_symmetry_system constructs, with a structure tensor
+derived from the source's, and whose own curvature it re-checks rather
+than assumes.  pde_symmetry_residual verifies candidates through two
+independent routes: the direct brackets [d/dt_l + X_l, Y], and the
+first jet prolongation of Y applied to the defining equations
+restricted to their zero set.  The two routes agree identically; the
+report carries both so the agreement stays observable.
 """
 
 from __future__ import annotations
@@ -54,10 +55,12 @@ from .liesys import (
     _CandidateCore,
     _SystemCore,
     _bracket_residual,
+    _fold_coefficients,
     _fold_generators,
     _magnitude,
     _pair_weights,
     _sample_states,
+    _symmetry_tensor,
     _thin,
     _y_generators,
 )
@@ -224,12 +227,14 @@ def pde_symmetry_basis(tensor: StructureTensor) -> List[VectorField]:
 @dataclass(frozen=True)
 class PDESymmetrySystem:
     """The symmetry system as a multi-time Lie system on f-space, with
-    the curvature report of that system, which the builder checks."""
+    the curvature reports the builder checks: that of the source system
+    (source_curvature) and that of the constructed one (curvature)."""
 
     system: PDELieSystem
     source: PDELieSystem
     y_fields: Tuple[VectorField, ...]
     curvature: ResidualReport
+    source_curvature: ResidualReport
 
 
 def build_pde_symmetry_system(sys: PDELieSystem,
@@ -237,12 +242,15 @@ def build_pde_symmetry_system(sys: PDELieSystem,
     """Construct df_p/dt_l = sum_{a,d} b[a][l] f_d c_dap on (f1..fr).
 
     Refuses non-integrable input, and re-checks the curvature of the
-    constructed system before returning it.  Linearly dependent
-    generators (one per central direction of the algebra) are folded
-    into the kept ones exactly, as in the single-time builder; when the
-    algebra is abelian every generator vanishes and the result keeps
-    unit translation fields with zero coefficients so the zero dynamics
-    stays a well-formed system.  tol must be finite and positive.
+    constructed system before returning it; a NotIntegrable carries the
+    source's curvature report as source_curvature either way.  Linearly
+    dependent generators (one per central direction of the algebra) are
+    folded into the kept ones exactly, as in the single-time builder, and
+    the structure tensor of the kept ones is derived from the source
+    tensor, not extracted; when the algebra is abelian every generator
+    vanishes and the result keeps unit translation fields, with the zero
+    tensor and zero coefficients, so the zero dynamics stays a
+    well-formed system.  tol must be finite and positive.
     """
     if not 0 < tol < math.inf:
         raise BadParams(f"tol must be finite and positive, got {tol}")
@@ -251,19 +259,23 @@ def build_pde_symmetry_system(sys: PDELieSystem,
         raise NotIntegrable(
             f"curvature residual {rep.max_abs:g} exceeds {tol:g}"
             + (f" at entry {rep.worst}" if rep.worst else ""),
-            residual=rep.max_abs)
+            residual=rep.max_abs, source_curvature=rep)
     tensor = sys.algebra.tensor
     y_fields = pde_symmetry_basis(tensor)
-    kept, kept_rows = _fold_generators(tensor, y_fields, sys.coeffs)
-    if not kept:
+    combos = _fold_coefficients(tensor)
+    kept, kept_rows = _fold_generators(combos, y_fields, sys.coeffs)
+    if kept:
+        kept_tensor = _symmetry_tensor(tensor, combos, with_zw=False)
+    else:
         for i, y in enumerate(y_fields):
             comps = [Expr.zero()] * sys.r
             comps[i] = Expr.one()
             kept.append(VectorField(y.vars, comps))
             kept_rows.append([Expr.zero()] * sys.s)
+        kept_tensor = StructureTensor(sys.r)
 
     inner = PDELieSystem(
-        LieAlgebraBasis(kept),
+        LieAlgebraBasis._known(kept, kept_tensor, sys.algebra.method),
         tuple(tuple(row) for row in kept_rows),
         times=sys.times,
         name=f"symmetry-system({sys.name})" if sys.name else "symmetry-system")
@@ -271,8 +283,8 @@ def build_pde_symmetry_system(sys: PDELieSystem,
     if not own.max_abs <= tol:
         raise NotIntegrable(
             f"constructed system has curvature residual {own.max_abs:g}",
-            residual=own.max_abs)
-    return PDESymmetrySystem(inner, sys, tuple(y_fields), own)
+            residual=own.max_abs, source_curvature=rep)
+    return PDESymmetrySystem(inner, sys, tuple(y_fields), own, rep)
 
 
 # -- path integration ---------------------------------------------------------

@@ -200,6 +200,25 @@ def test_verify_flags_a_non_symmetry(tmp_path):
     assert code == EXIT_CHECK and "FAIL" in out
 
 
+def test_sampled_checks_do_not_load_numpy_random(tmp_path, seeded_cli_env):
+    cand = write_json(tmp_path / "c.json",
+                      {"time": "t", "f": ["0", "1", "0", "0"]})
+    script = (
+        "import io, sys\n"
+        "from liesym import make, pde_symmetry_residual\n"
+        "from liesym.cli import main\n"
+        "out = io.StringIO()\n"
+        "argv = ['verify', '--catalog', 'riccati', '--param', 'eta=t',\n"
+        f"        '--candidate', {cand!r}]\n"
+        "assert main(argv, stdout=out) == 1 and 'exact=False' in out.getvalue()\n"
+        "rep = pde_symmetry_residual([1, 0, 0], make('partial_riccati').system)\n"
+        "assert not rep.exact and rep.npoints > 0\n"
+        "assert 'numpy.random' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=seeded_cli_env,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+
 @pytest.mark.parametrize("f", [["1", "t", "0"], ["1", "t", "0", "1", "0"]])
 def test_verify_candidate_of_the_wrong_size_is_usage(tmp_path, capsys, f):
     cand = write_json(tmp_path / "c.json", {"time": "t", "f": f})
@@ -358,13 +377,14 @@ def test_pde_computes_each_curvature_once(monkeypatch, tmp_path):
         return real(sys)
 
     monkeypatch.setattr(liesym.pdesys, "curvature_residual", counting)
-    monkeypatch.setattr(liesym.cli, "curvature_residual", counting)
+    assert not hasattr(liesym.cli, "curvature_residual")
     code, _ = run_cli("pde", "--catalog", "partial_riccati",
                       "--out", str(tmp_path / "p.csv"),
                       "--report", str(tmp_path / "p.json"))
     assert code == EXIT_OK
-    # the source in the CLI and in the builder, then the built system once
-    assert len(calls) == 3
+    # the source and then the built system, both in the builder
+    assert len(calls) == 2
+    assert calls[1].name.startswith("symmetry-system")
 
 
 def test_pde_perturbed_reports_and_fails(tmp_path):

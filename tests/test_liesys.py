@@ -22,13 +22,16 @@ from liesym.expr import Expr, OpaqueFunction, ZeroStatus
 from liesym.liealg import (
     LieAlgebraBasis,
     StructureTensor,
+    extract_structure_constants,
     match_in_span,
     transform_tensor,
 )
 from liesym.liesys import (
     LieSystem,
     SymmetryCandidate,
+    _fold_coefficients,
     _fold_generators,
+    _sample_states,
     aff_closed_form,
     build_symmetry_system,
     candidate_bracket,
@@ -291,11 +294,86 @@ def test_fold_on_coefficient_rows_matches_the_field_fold():
         for y_fields in (symmetry_system_basis(tensor)[2],
                          pde_symmetry_basis(tensor)):
             want = reference_fold(y_fields, rows)
-            assert _fold_generators(tensor, y_fields, rows) == want, name
+            combos = _fold_coefficients(tensor)
+            assert _fold_generators(combos, y_fields, rows) == want, name
             # the kept fields of the reference fold span the Y fields
             assert len(want[0]) == vertical_symmetry_dimension(tensor), name
         folded += 0 < len(want[0]) < tensor.r
     assert folded >= 6  # the Heisenberg and aff + line families fold
+
+
+def tensor_carrier(tensor: StructureTensor, method: str = "exact"):
+    """A basis carrying the given tensor over r unit fields.  The builders
+    read only its tensor, method, size and coordinates, never the
+    brackets of its fields."""
+    names = tuple(f"p{i}" for i in range(tensor.r))
+    fields = [VectorField(names, [int(i == j) for i in range(tensor.r)])
+              for j in range(tensor.r)]
+    return LieAlgebraBasis._known(fields, tensor, method)
+
+
+def built_algebras(algebra):
+    """The symmetry-system bases both builders make from one algebra."""
+    t = Expr.var("t")
+    single = build_symmetry_system(LieSystem(algebra, [t] * algebra.r))
+    multi = build_pde_symmetry_system(PDELieSystem(algebra, [[0, 0]] * algebra.r))
+    return single.system.algebra, multi.system.algebra
+
+
+def test_derived_tensors_equal_extraction():
+    folded = 0
+    for name, tensor in fold_tensors().items():
+        single, multi = built_algebras(tensor_carrier(tensor))
+        for built in (single, multi):
+            want = extract_structure_constants(built.fields)
+            assert (built.tensor, built.method) == want, name
+        folded += multi.r < tensor.r
+    assert folded >= 6  # the Heisenberg and aff + line families fold
+
+
+def test_numerical_source_gives_numerical_symmetry_systems():
+    msin = OpaqueFunction("msinx", lambda v: -math.sin(v))
+    cosf = OpaqueFunction("cosx", math.cos, msin)
+    sinf = OpaqueFunction("sinx", math.sin, cosf)
+    trig = LieAlgebraBasis([VectorField(X, [Expr.opaque(sinf, "x")]),
+                            VectorField(X, [Expr.opaque(cosf, "x")]),
+                            VectorField(X, [1])])
+    assert trig.method == "numerical"
+    for built in built_algebras(trig):
+        assert built.method == "numerical"
+        # the fields themselves are rational, so extraction calls it exact
+        assert extract_structure_constants(built.fields) == (built.tensor, "exact")
+    for built in built_algebras(LieAlgebraBasis(sl2_line_fields())):
+        assert built.method == "exact"
+
+
+def test_builders_do_not_extract(monkeypatch):
+    import liesym.liealg
+
+    single = make("painleve_ince").system
+    multi = make("partial_riccati").system
+    calls = []
+    real = liesym.liealg.extract_structure_constants
+
+    def counting(fields):
+        calls.append(fields)
+        return real(fields)
+
+    monkeypatch.setattr(liesym.liealg, "extract_structure_constants", counting)
+    assert build_symmetry_system(single).system.r == 2 * 8 + 1 + 8
+    build_pde_symmetry_system(multi)
+    assert calls == []
+    LieAlgebraBasis(sl2_line_fields())  # the public constructor still extracts
+    assert len(calls) == 1
+
+
+def test_sample_states_are_seeded_and_inside_the_box():
+    box = ((-2.0, 2.0), (0.5, 1.5), (3.0, 3.25))
+    pts = _sample_states(box, 50, 7)
+    assert pts == _sample_states(box, 50, 7)
+    assert pts != _sample_states(box, 50, 8)
+    assert len(pts) == 50 and all(len(p) == 3 for p in pts)
+    assert all(lo <= v <= hi for p in pts for v, (lo, hi) in zip(p, box))
 
 
 def test_vertical_symmetry_dimension():
