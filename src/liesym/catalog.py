@@ -130,8 +130,24 @@ def _drift_rescaling(system: LieSystem) -> NamedFamily:
         note="constant multiple of the time-dependent generator, f0 = 1")
 
 
-def _gauge_is_zero(system: LieSystem) -> bool:
-    return system.gauge.is_zero() is ZeroStatus.ZERO
+def _ode_entry(name: str, fields: Sequence[VectorField], coeffs, gauge_b0,
+               expected: StructureTensor, *, description: str,
+               families: Optional[Callable[[LieSystem], Tuple[NamedFamily, ...]]] = None,
+               excluded_note: str = "", **system_kw) -> CatalogEntry:
+    """An ODE entry in time t with gauge gauge_b0 (see _time_profile).
+
+    Its families are those of families(system), if given, followed by
+    the drift rescaling when the gauge is zero; system_kw goes to
+    LieSystem.
+    """
+    sys = LieSystem(LieAlgebraBasis(fields), coeffs=tuple(coeffs),
+                    gauge=_time_profile(gauge_b0, "b0"), time="t",
+                    name=name, **system_kw)
+    fams = families(sys) if families else ()
+    if sys.gauge.is_zero() is ZeroStatus.ZERO:
+        fams = fams + (_drift_rescaling(sys),)
+    return CatalogEntry(name, sys, expected, fams, excluded_note=excluded_note,
+                        description=description)
 
 
 # -- ODE factories -------------------------------------------------------------
@@ -141,30 +157,24 @@ def _line_sl2_fields() -> Tuple[VectorField, ...]:
     return (_field(c, ["1"]), _field(c, ["x"]), _field(c, ["x^2"]))
 
 
+def _sl2_coeffs(b1, b2, b3) -> Tuple[Expr, ...]:
+    return (_time_profile(b1, "b1"), _time_profile(b2, "b2"),
+            _time_profile(b3, "b3"))
+
+
 def _make_riccati(eta=None, gauge_b0=0) -> CatalogEntry:
-    t = "t"
-    eta_expr = _time_profile(eta, "eta", t)
-    sys = LieSystem(LieAlgebraBasis(_line_sl2_fields()),
-                    coeffs=(eta_expr, Expr.zero(), Expr.one()),
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="riccati")
-    fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
-    return CatalogEntry(
-        "riccati", sys, _tensor(3, _SL2), fams,
+    return _ode_entry(
+        "riccati", _line_sl2_fields(),
+        (_time_profile(eta, "eta"), Expr.zero(), Expr.one()), gauge_b0,
+        _tensor(3, _SL2),
         description="Scalar Riccati equation dx/dt = eta(t) + x^2 carried "
                     "by the polynomial sl(2) action on the line.")
 
 
 def _make_sl2_generic(b1=None, b2=None, b3=None, gauge_b0=0) -> CatalogEntry:
-    t = "t"
-    coeffs = (_time_profile(b1, "b1", t), _time_profile(b2, "b2", t),
-              _time_profile(b3, "b3", t))
-    sys = LieSystem(LieAlgebraBasis(_line_sl2_fields()), coeffs=coeffs,
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="sl2_generic")
-    fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
-    return CatalogEntry(
-        "sl2_generic", sys, _tensor(3, _SL2), fams,
+    return _ode_entry(
+        "sl2_generic", _line_sl2_fields(), _sl2_coeffs(b1, b2, b3), gauge_b0,
+        _tensor(3, _SL2),
         description="Generic three-coefficient system on the line sl(2) "
                     "basis; the coefficients stay opaque unless given.")
 
@@ -180,15 +190,9 @@ def _make_cayley_klein(iota2=-1, b1=None, b2=None, b3=None,
         _field(c, ["x", "y"]),
         _field(c, [f"x^2 + ({i2})*y^2", "2*x*y"]),
     )
-    t = "t"
-    coeffs = (_time_profile(b1, "b1", t), _time_profile(b2, "b2", t),
-              _time_profile(b3, "b3", t))
-    sys = LieSystem(LieAlgebraBasis(fields), coeffs=coeffs,
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="cayley_klein")
-    fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
-    return CatalogEntry(
-        "cayley_klein", sys, _tensor(3, _SL2), fams,
+    return _ode_entry(
+        "cayley_klein", fields, _sl2_coeffs(b1, b2, b3), gauge_b0,
+        _tensor(3, _SL2),
         description="Riccati dynamics over a plane with hypercomplex unit "
                     "iota, iota^2 = -1 (elliptic), 0 (parabolic) or +1 "
                     "(hyperbolic); every choice carries the same sl(2).")
@@ -202,15 +206,9 @@ def _make_quaternionic(b1=None, b2=None, b3=None, gauge_b0=0) -> CatalogEntry:
         _field(c, ["q0^2 - q1^2 - q2^2 - q3^2",
                    "2*q0*q1", "2*q0*q2", "2*q0*q3"]),
     )
-    t = "t"
-    coeffs = (_time_profile(b1, "b1", t), _time_profile(b2, "b2", t),
-              _time_profile(b3, "b3", t))
-    sys = LieSystem(LieAlgebraBasis(fields), coeffs=coeffs,
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="quaternionic")
-    fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
-    return CatalogEntry(
-        "quaternionic", sys, _tensor(3, _SL2), fams,
+    return _ode_entry(
+        "quaternionic", fields, _sl2_coeffs(b1, b2, b3), gauge_b0,
+        _tensor(3, _SL2),
         description="Riccati dynamics on quaternion components (four "
                     "states); the middle coefficient absorbs the sum of "
                     "the two affine inputs of the usual presentation.")
@@ -298,16 +296,10 @@ def _dbh_families(system: LieSystem) -> Tuple[NamedFamily, ...]:
 def _make_dbh(alpha=(0, 0, 0), gauge_b0=0) -> CatalogEntry:
     if len(tuple(alpha)) != 3:
         raise BadParams("alpha must have three components")
-    t = "t"
-    sys = LieSystem(LieAlgebraBasis(_dbh_fields(alpha)),
-                    coeffs=(Expr.zero(), Expr.zero(), Expr.const(-1)),
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="dbh")
-    fams = _dbh_families(sys)
-    if _gauge_is_zero(sys):
-        fams = fams + (_drift_rescaling(sys),)
-    return CatalogEntry(
-        "dbh", sys, _tensor(3, _SL2), fams,
+    return _ode_entry(
+        "dbh", _dbh_fields(alpha),
+        (Expr.zero(), Expr.zero(), Expr.const(-1)), gauge_b0,
+        _tensor(3, _SL2), families=_dbh_families,
         description="Darboux-Brioschi-Halphen triple with the quadratic "
                     "coupling tau^2 built from pairwise differences and "
                     "weights alpha; alpha = 0 recovers the classical case.")
@@ -321,18 +313,12 @@ def _make_kummer_schwarz(c0=1, eta=None, gauge_b0=0) -> CatalogEntry:
         _field(c, ["x", "2*v"]),
         _field(c, ["v", f"(3/2)*v^2/x - 2*({c0f})*x^3"]),
     )
-    t = "t"
-    sys = LieSystem(LieAlgebraBasis(fields),
-                    coeffs=(_time_profile(eta, "eta", t), Expr.zero(),
-                            Expr.one()),
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="kummer_schwarz",
-                    state_box=((0.5, 2.0), (-2.0, 2.0)),
-                    excluded=lambda y: abs(y[0]) < 1e-6)
-    fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
-    return CatalogEntry(
-        "kummer_schwarz", sys, _tensor(3, _SL2), fams,
-        excluded_note="x = 0",
+    return _ode_entry(
+        "kummer_schwarz", fields,
+        (_time_profile(eta, "eta"), Expr.zero(), Expr.one()), gauge_b0,
+        _tensor(3, _SL2), excluded_note="x = 0",
+        state_box=((0.5, 2.0), (-2.0, 2.0)),
+        excluded=lambda y: abs(y[0]) < 1e-6,
         description="Kummer-Schwarz equation as a first-order pair; the "
                     "third basis field has a v^2/x term, so trajectories "
                     "and sampling avoid the x = 0 hyperplane.")
@@ -345,15 +331,9 @@ def _make_buchdahl(a2=None, fprofile=None, gauge_b0=0) -> CatalogEntry:
                     else Expr._coerce(fprofile)))
     x1 = VectorField(c, [Expr.var("v"), f_of_x * Expr.var("v") ** 2])
     x2 = VectorField(c, [Expr.zero(), -Expr.var("v")])
-    t = "t"
-    a2_expr = _time_profile(a2, "a2", t)
-    sys = LieSystem(LieAlgebraBasis((x1, x2)),
-                    coeffs=(Expr.one(), -a2_expr),
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="buchdahl")
-    fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
-    return CatalogEntry(
-        "buchdahl", sys, _tensor(2, _AFF), fams,
+    return _ode_entry(
+        "buchdahl", (x1, x2), (Expr.one(), -_time_profile(a2, "a2")),
+        gauge_b0, _tensor(2, _AFF),
         description="Buchdahl's second-order equation x'' = f(x) x'^2 + "
                     "a2(t) x' as a first-order pair on a two-field affine "
                     "basis with fixed first coefficient.")
@@ -362,14 +342,9 @@ def _make_buchdahl(a2=None, fprofile=None, gauge_b0=0) -> CatalogEntry:
 def _make_aff_generic(a=None, b=None, gauge_b0=0) -> CatalogEntry:
     c = ("x",)
     fields = (_field(c, ["1"]), _field(c, ["x"]))
-    t = "t"
-    sys = LieSystem(LieAlgebraBasis(fields),
-                    coeffs=(_time_profile(a, "a", t), _time_profile(b, "b", t)),
-                    gauge=_time_profile(gauge_b0, "b0", t),
-                    time=t, name="aff_generic")
-    fams = (_drift_rescaling(sys),) if _gauge_is_zero(sys) else ()
-    return CatalogEntry(
-        "aff_generic", sys, _tensor(2, _AFF), fams,
+    return _ode_entry(
+        "aff_generic", fields, (_time_profile(a, "a"), _time_profile(b, "b")),
+        gauge_b0, _tensor(2, _AFF),
         description="Generic system on the affine line basis (translation "
                     "and dilation); its symmetry system integrates by "
                     "quadratures.")
@@ -387,18 +362,14 @@ def _make_painleve_ince() -> CatalogEntry:
         _field(c, ["1", "-x"]),
         _field(c, ["2*x", "4*v"]),
     )
-    coeffs = (Expr.one(),) + tuple(Expr.zero() for _ in range(7))
-    sys = LieSystem(LieAlgebraBasis(fields), coeffs=coeffs,
-                    time="t", name="painleve_ince")
-    shift = SymmetryCandidate.closed(
-        (0, 0, 0, 0, 0, 0, 1, 0, 0), time="t")
-    fams = (
-        NamedFamily("commuting_generator", shift,
-                    note="the sixth basis field commutes with the drift"),
-        _drift_rescaling(sys),
-    )
-    return CatalogEntry(
-        "painleve_ince", sys, _tensor(8, _OCTET), fams,
+    shift = NamedFamily(
+        "commuting_generator",
+        SymmetryCandidate.closed((0, 0, 0, 0, 0, 0, 1, 0, 0), time="t"),
+        note="the sixth basis field commutes with the drift")
+    return _ode_entry(
+        "painleve_ince", fields,
+        (Expr.one(),) + tuple(Expr.zero() for _ in range(7)), 0,
+        _tensor(8, _OCTET), families=lambda sys: (shift,),
         description="Painleve-Ince equation x'' + 3 x x' + x^3 = 0 as a "
                     "first-order pair, carried by the full eight-field "
                     "point-symmetry basis of the flow.")

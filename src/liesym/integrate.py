@@ -34,10 +34,6 @@ class Trajectory:
         if len(self.ts) != len(self.states) or len(self.ts) != len(self.err_est):
             raise ValueError("trajectory arrays disagree in length")
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.varnames.index(name)]
 

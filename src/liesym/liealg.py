@@ -1,11 +1,13 @@
 """Finite-dimensional Lie algebras of vector fields.
 
 Structure constants are extracted by matching monomial coefficients
-exactly over the rationals; opaque leaves count as independent symbols,
-which keeps the match exact for bases like Buchdahl's f(x)-dependent
-fields.  When exact matching fails and opaque leaves are present, a
-64-point least-squares fallback, sampled with the standard library's
-random.Random(0), is attempted and the result is flagged as numerical.
+exactly over the rationals: one reduction of the table of the fields and
+all their brackets decides independence and every bracket.  Opaque
+leaves count as independent symbols, which keeps the match exact for
+bases like Buchdahl's f(x)-dependent fields.  When a bracket leaves the
+exact span and opaque leaves are present, a 64-point least-squares
+fallback, sampled with the standard library's random.Random(0), is
+attempted and the result is flagged as numerical.
 
 Extraction is the oracle: LieAlgebraBasis(fields) runs it, check-algebra
 and the catalog bases rely on it.  The symmetry-system builders derive
@@ -159,65 +161,58 @@ def transform_tensor(tensor: StructureTensor, a_matrix) -> StructureTensor:
     return out
 
 
-def _cleared_rows(exprs_per_field: List[List[Expr]]):
-    """Clear denominators per component and tabulate monomial coefficients.
+def _monomial_table(fields: Sequence[VectorField]) -> List[List[Fraction]]:
+    """One column per field: its exact monomial coefficients.
 
-    exprs_per_field[j][i] is component i of field j.  Per component the
-    product of the distinct denominators multiplies everything, which is
-    exact because each denominator divides the product.  Returns one
-    coefficient dict (monomial-key -> Fraction) per field.
+    Per component, the product of the distinct denominators multiplies
+    every field, which is exact because each denominator divides the
+    product.  Rows are (component, monomial) keys; linear relations
+    between the columns are those between the fields.
     """
-    nfields = len(exprs_per_field)
-    ncomps = len(exprs_per_field[0])
-    tables: List[Dict[tuple, Fraction]] = [dict() for _ in range(nfields)]
     one = {(): Fraction(1)}
-    for i in range(ncomps):
+    tables: List[Dict[tuple, Fraction]] = [dict() for _ in fields]
+    for i in range(len(fields[0].components)):
         dens = []
-        for j in range(nfields):
-            d = exprs_per_field[j][i].den
+        for f in fields:
+            d = f.components[i].den
             if d != one and all(d != seen for seen in dens):
                 dens.append(d)
         clear = Expr.one()
         for d in dens:
             clear = clear * Expr(dict(d), dict(one))
-        for j in range(nfields):
-            e = exprs_per_field[j][i] * clear
+        for tab, f in zip(tables, fields):
+            e = f.components[i] * clear
             if e.den != one:
                 raise NotClosed(
                     "could not clear component denominators exactly")
             for mono, coeff in e.num.items():
-                tables[j][(i, mono)] = coeff
-    return tables
+                tab[(i, mono)] = coeff
+    keys = dict.fromkeys(k for tab in tables for k in tab)
+    return [[tab.get(key, Fraction(0)) for tab in tables] for key in keys]
 
 
 def match_in_span(fields: Sequence[VectorField],
                   target: VectorField) -> Optional[List[Fraction]]:
     """Exact coefficients writing target = sum_g c_g fields[g], or None."""
-    exprs = [list(f.components) for f in fields] + [list(target.components)]
-    tables = _cleared_rows(exprs)
-    keys = sorted({k for tab in tables for k in tab},
-                  key=lambda k: (k[0], str(k[1])))
-    matrix = [[tables[j].get(key, Fraction(0)) for j in range(len(fields))]
-              for key in keys]
-    rhs = [tables[-1].get(key, Fraction(0)) for key in keys]
-    return rlinalg.solve(matrix, rhs)
+    table = _monomial_table(list(fields) + [target])
+    return rlinalg.solve([row[:-1] for row in table], [row[-1] for row in table])
 
 
 def field_rank(fields: Sequence[VectorField]) -> int:
     """Rank of the fields as vectors of exact monomial coefficients."""
-    tables = _cleared_rows([list(f.components) for f in fields])
-    keys = sorted({k for tab in tables for k in tab},
-                  key=lambda k: (k[0], str(k[1])))
-    matrix = [[tab.get(key, Fraction(0)) for tab in tables] for key in keys]
-    return rlinalg.rank(matrix)
+    return rlinalg.rank(_monomial_table(list(fields)))
 
 
 def extract_structure_constants(fields: Sequence[VectorField]
                                 ) -> Tuple[StructureTensor, str]:
     """Expand every bracket in the given basis; returns (tensor, method).
 
-    method is "exact" when every bracket matched by monomial
-    coefficients, "numerical" when a sampled least-squares fallback was
+    One rref of the table whose columns are the r fields and then the
+    r(r-1)/2 brackets decides everything: the basis is independent when
+    columns 0..r-1 are the first r pivots, and a bracket lies in the
+    span when its column vanishes below row r, its first r entries then
+    being its coefficients.  method is "exact" when every bracket lies
+    in the span, "numerical" when a sampled least-squares fallback was
     needed for some pair.  Raises DependentBasis or NotClosed.
     """
     fields = list(fields)
@@ -228,27 +223,28 @@ def extract_structure_constants(fields: Sequence[VectorField]
         if f.vars != vars0:
             raise DependentBasis("basis fields live on different coordinates")
     r = len(fields)
-    if field_rank(fields) < r:
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    brackets = [lie_bracket(fields[a], fields[b]) for a, b in pairs]
+    m, pivots = rlinalg.rref(_monomial_table(fields + brackets))
+    if pivots[:r] != list(range(r)):
         raise DependentBasis("basis fields are linearly dependent")
 
     tensor = StructureTensor(r)
     method = "exact"
-    for a in range(r):
-        for b in range(a + 1, r):
-            bracket = lie_bracket(fields[a], fields[b])
-            sol = match_in_span(fields, bracket)
-            if sol is None:
-                opaque = any(c.has_opaque for f in list(fields) + [bracket]
-                             for c in f.components)
-                if not opaque:
-                    raise NotClosed(
-                        f"bracket [X{a + 1}, X{b + 1}] is outside the span "
-                        f"of the basis")
-                sol = _numeric_fallback(fields, bracket, a, b)
-                method = "numerical"
-            for g, v in enumerate(sol):
-                if v:
-                    tensor.set(a, b, g, v)
+    for col, ((a, b), bracket) in enumerate(zip(pairs, brackets), r):
+        sol = [row[col] for row in m[:r]]
+        if any(row[col] for row in m[r:]):
+            opaque = any(c.has_opaque for f in fields + [bracket]
+                         for c in f.components)
+            if not opaque:
+                raise NotClosed(
+                    f"bracket [X{a + 1}, X{b + 1}] is outside the span "
+                    f"of the basis")
+            sol = _numeric_fallback(fields, bracket, a, b)
+            method = "numerical"
+        for g, v in enumerate(sol):
+            if v:
+                tensor.set(a, b, g, v)
     return tensor, method
 
 

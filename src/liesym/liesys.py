@@ -148,19 +148,17 @@ def _fold_coefficients(tensor: StructureTensor) -> List[Optional[List[Fraction]]
 
     Entry a is None when Y_a is kept, and otherwise the exact c_j with
     Y_a = sum_j c_j kept[j] over the generators kept before it; a zero
-    generator gets no coefficients at all.  A dependency is solved on the
-    coefficients c_bag of f_b d/df_g, flattened over (b, g).
+    generator gets zeros.  One rref of the matrix whose column a holds
+    the coefficients c_bag of f_b d/df_g, flattened over (b, g), decides
+    all of it: the pivot columns are the kept generators, and a
+    dependent column's entries in the pivot rows before it are its c_j.
     """
     r = tensor.r
-    kept_vecs: List[List[Fraction]] = []
-    combos: List[Optional[List[Fraction]]] = []
-    for a in range(r):
-        vec = [tensor.c(b, a, g) for b in range(r) for g in range(r)]
-        combo = rlinalg.solve(list(zip(*kept_vecs)), vec)
-        if combo is None:
-            kept_vecs.append(vec)
-        combos.append(combo)
-    return combos
+    m, pivots = rlinalg.rref([[tensor.c(b, a, g) for a in range(r)]
+                              for b in range(r) for g in range(r)])
+    return [None if a in pivots
+            else [row[a] for row, p in zip(m, pivots) if p < a]
+            for a in range(r)]
 
 
 def _fold_generators(combos: Sequence[Optional[Sequence[Fraction]]],
@@ -254,13 +252,9 @@ def symmetry_system_basis(tensor: StructureTensor):
 
 @dataclass(frozen=True)
 class SymmetrySystem:
-    """The symmetry system as a Lie system on f-space, plus provenance."""
+    """The symmetry system as a Lie system on f-space."""
 
     system: LieSystem
-    source: LieSystem
-    z_fields: Tuple[VectorField, ...]
-    w_fields: Tuple[VectorField, ...]
-    y_fields: Tuple[VectorField, ...]
 
     @property
     def rhs_exprs(self) -> Tuple[Expr, ...]:
@@ -293,8 +287,7 @@ def build_symmetry_system(sys: LieSystem) -> SymmetrySystem:
         sys.algebra.method)
     inner = LieSystem(algebra, tuple(coeffs), gauge=Expr.zero(), time=t,
                       name=f"symmetry-system({sys.name})" if sys.name else "symmetry-system")
-    return SymmetrySystem(inner, sys, tuple(z_fields), tuple(w_fields),
-                          tuple(y_fields))
+    return SymmetrySystem(inner)
 
 
 def vertical_symmetry_dimension(tensor: StructureTensor) -> int:

@@ -231,8 +231,6 @@ class PDESymmetrySystem:
     (source_curvature) and that of the constructed one (curvature)."""
 
     system: PDELieSystem
-    source: PDELieSystem
-    y_fields: Tuple[VectorField, ...]
     curvature: ResidualReport
     source_curvature: ResidualReport
 
@@ -284,7 +282,7 @@ def build_pde_symmetry_system(sys: PDELieSystem,
         raise NotIntegrable(
             f"constructed system has curvature residual {own.max_abs:g}",
             residual=own.max_abs, source_curvature=rep)
-    return PDESymmetrySystem(inner, sys, tuple(y_fields), own, rep)
+    return PDESymmetrySystem(inner, own, rep)
 
 
 # -- path integration ---------------------------------------------------------

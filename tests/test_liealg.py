@@ -155,6 +155,23 @@ def test_numerical_fallback_trig_basis():
     assert tensor == expected
 
 
+def test_bracket_in_the_span_of_another_bracket_only():
+    # [X1, X4] = [X1, X2] = -(sin^2 + cos^2) d/dx: outside the exact span
+    # of the fields, though its column repeats the column of [X1, X2]
+    msin = OpaqueFunction("msinx", lambda v: -math.sin(v))
+    cosf = OpaqueFunction("cosx", math.cos, msin)
+    sinf = OpaqueFunction("sinx", math.sin, cosf)
+    sin_x, cos_x = Expr.opaque(sinf, "x"), Expr.opaque(cosf, "x")
+    xy = ["x", "y"]
+    fields = [VectorField(xy, [sin_x, 0]), VectorField(xy, [cos_x, 0]),
+              VectorField(xy, [1, 0]), VectorField(xy, [cos_x, 1])]
+    tensor, method = extract_structure_constants(fields)
+    assert method == "numerical"
+    assert tensor == StructureTensor.from_triples(
+        4, [[1, 2, 3, "-1"], [1, 3, 2, "-1"], [1, 4, 3, "-1"],
+            [2, 3, 1, "1"], [3, 4, 1, "-1"]])
+
+
 def test_triples_round_trip():
     t = sl2_tensor()
     triples = t.to_triples()

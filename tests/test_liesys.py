@@ -331,6 +331,34 @@ def test_derived_tensors_equal_extraction():
     assert folded >= 6  # the Heisenberg and aff + line families fold
 
 
+def test_one_rref_per_extraction_and_per_fold(monkeypatch):
+    from liesym import liealg, rlinalg
+
+    rref_calls = []
+    real_rref = rlinalg.rref
+
+    def counting_rref(rows):
+        rref_calls.append(len(rows))
+        return real_rref(rows)
+
+    def unused(*args):
+        raise AssertionError("not on the one-reduction path")
+
+    monkeypatch.setattr(rlinalg, "rref", counting_rref)
+    for name in ("match_in_span", "field_rank"):
+        monkeypatch.setattr(liealg, name, unused)
+    monkeypatch.setattr(rlinalg, "solve", unused)
+    entry = make("painleve_ince")
+    rref_calls.clear()
+    assert extract_structure_constants(entry.system.algebra.fields) == (
+        entry.expected, "exact")
+    assert len(rref_calls) == 1
+    for name, tensor in fold_tensors().items():
+        rref_calls.clear()
+        _fold_coefficients(tensor)
+        assert len(rref_calls) == 1, name
+
+
 def test_numerical_source_gives_numerical_symmetry_systems():
     msin = OpaqueFunction("msinx", lambda v: -math.sin(v))
     cosf = OpaqueFunction("cosx", math.cos, msin)
