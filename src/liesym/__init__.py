@@ -9,7 +9,6 @@ results against independent bracket oracles.
 from .errors import (
     BadParams,
     DependentBasis,
-    DependentInitialConditions,
     DimensionMismatch,
     DivisionByZero,
     FixtureMissing,
@@ -33,11 +32,9 @@ from .errors import (
 from .expr import (
     Expr,
     OpaqueFunction,
-    ZeroReport,
     ZeroStatus,
     compile_numeric,
     parse,
-    zero_report,
 )
 from .vectorfield import (
     JetVectorField,

@@ -215,7 +215,7 @@ def _trajectory_rows(traj) -> List[List[float]]:
 
 def _report_payload(rep) -> dict:
     out = {"max_abs": float(rep.max_abs), "exact": bool(rep.exact)}
-    if getattr(rep, "npoints", 0):
+    if rep.npoints:
         out["npoints"] = int(rep.npoints)
     return out
 

@@ -91,10 +91,6 @@ class NotIntegrable(LiesymError):
         self.source_curvature = source_curvature
 
 
-class DependentInitialConditions(LiesymError):
-    """Initial vectors for a fundamental family are linearly dependent."""
-
-
 class UnknownName(LiesymError):
     """No catalog entry or registry entry under the requested name."""
 

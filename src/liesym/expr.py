@@ -10,23 +10,22 @@ them without the normal form ever learning what the function is.
 
 Two expressions with equal normal forms evaluate identically everywhere.
 Zero testing is exact on the opaque-free fragment (a rational function is
-zero iff its numerator polynomial is zero) and falls back to sampled
-evidence when opaque leaves are present.  compile_numeric lowers the
-expressions a caller evaluates together into one float kernel: a
-generated Python function that writes each entry out term by term and
-evaluates each distinct opaque leaf at most once per call, at its first
-use in evaluation order, so evaluators must be pure functions of their
-argument.  Generation changes no contract of the term interpreter it
-replaced: the floats, the denominator-first DivisionByZero and the
-compile-time errors are the same.
+zero iff its numerator polynomial is zero); a numerator that holds an
+opaque leaf gives "unknown", and callers that need a verdict sample the
+expression themselves.  compile_numeric lowers the expressions a caller
+evaluates together into one float kernel: a generated Python function
+that writes each entry out term by term and evaluates each distinct
+opaque leaf at most once per call, at its first use in evaluation order,
+so evaluators must be pure functions of their argument.  Generation
+changes no contract of the term interpreter it replaced: the floats, the
+denominator-first DivisionByZero and the compile-time errors are the
+same.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -274,12 +273,6 @@ class ZeroStatus(enum.Enum):
     ZERO = "zero"
     NONZERO = "nonzero"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class ZeroReport:
-    status: ZeroStatus
-    evidence: tuple = ()
 
 
 class Expr:
@@ -631,53 +624,6 @@ def _p_eval(p: Poly, point: Mapping[str, float], exact: bool):
             v = _atom_value(atom, point)
             term = term * (v ** e)
         total = total + term
-    return total
-
-
-def zero_report(e: Expr, seed: int = 0) -> ZeroReport:
-    """Zero decision plus sampled evidence for the Unknown case.
-
-    Opaque leaves with evaluators are evaluated; leaves without are given
-    independent random values per sample, which is sound for detecting a
-    structurally nonzero polynomial in the leaves.
-    """
-    status = e.is_zero()
-    if status != ZeroStatus.UNKNOWN:
-        return ZeroReport(status)
-    rng = random.Random(seed)
-    evidence = []
-    symbols = sorted(e.free_symbols())
-    bare = {a for a in _p_atoms(e.num) | _p_atoms(e.den)
-            if a.kind == Atom.OPAQUE and a.func.evaluator is None}
-    attempts = 0
-    while len(evidence) < 32 and attempts < 32 * 8:
-        attempts += 1
-        point = {s: rng.uniform(-2.0, 2.0) for s in symbols}
-        shim = {a: rng.uniform(-2.0, 2.0) for a in bare}
-        try:
-            n = _p_eval_with_shim(e.num, point, shim)
-            d = _p_eval_with_shim(e.den, point, shim)
-            if d == 0:
-                continue
-            evidence.append(abs(n / d))
-        except (OpaqueNoEvaluator, UnboundSymbol):
-            raise
-        except (OverflowError, ValueError):
-            continue
-    return ZeroReport(status, tuple(evidence))
-
-
-def _p_eval_with_shim(p: Poly, point, shim):
-    total = 0.0
-    for m, c in p.items():
-        term = float(c)
-        for atom, e in m:
-            if atom in shim:
-                v = shim[atom]
-            else:
-                v = _atom_value(atom, point)
-            term *= v ** e
-        total += term
     return total
 
 

@@ -121,17 +121,26 @@ class StructureTensor:
 
 
 def jacobi_residual(tensor: StructureTensor) -> Fraction:
-    """Max abs of the Jacobi sums; exactly zero for a Lie algebra."""
+    """Max abs of the Jacobi sums; exactly zero for a Lie algebra.
+
+    [[X_a, X_b], X_g] = sum_d c_abd [X_d, X_g] is read off the stored
+    constants, so only pairs with a nonzero bracket are visited.
+    """
+    rows: Dict[Tuple[int, int], list] = {}
+    for (a, b, d), c in tensor.data.items():
+        rows.setdefault((a, b), []).append((d, c))
+        rows.setdefault((b, a), []).append((d, -c))
     r = tensor.r
-    e = np.eye(r, dtype=int).tolist()
-    br = tensor.bracket
     worst = Fraction(0)
     for a in range(r):
         for b in range(a + 1, r):
             for g in range(b + 1, r):
-                sums = zip(br(br(e[a], e[b]), e[g]), br(br(e[b], e[g]), e[a]),
-                           br(br(e[g], e[a]), e[b]))
-                worst = max([worst] + [abs(x + y + z) for x, y, z in sums])
+                sums: Dict[int, Fraction] = {}
+                for p, q, w in ((a, b, g), (b, g, a), (g, a, b)):
+                    for d, c in rows.get((p, q), ()):
+                        for e, v in rows.get((d, w), ()):
+                            sums[e] = sums.get(e, 0) + c * v
+                worst = max([worst] + [abs(x) for x in sums.values()])
     return worst
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from . import rlinalg
 from .errors import (
     BadParams,
-    DependentInitialConditions,
     DimensionMismatch,
     GridEmpty,
     MissingDerivative,
@@ -454,7 +453,8 @@ def _sample_states(box: Sequence[Tuple[float, float]], nx: int,
 
 
 def _check_channels(candidate: SymmetryCandidate, r: int) -> None:
-    """DimensionMismatch unless the candidate has channels f0, f1..fr."""
+    """DimensionMismatch unless the candidate has r coefficient functions
+    (f1..fr, after f0 on a single-time candidate)."""
     if candidate.r != r:
         raise DimensionMismatch(
             f"candidate has {candidate.r} coefficient functions, the algebra "
@@ -685,49 +685,30 @@ def function_bracket(f: Expr, g: Expr, time: str = "t") -> Expr:
 
 
 def candidate_bracket(y1: SymmetryCandidate, y2: SymmetryCandidate,
-                      tensor: StructureTensor,
-                      d2values: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                      ) -> SymmetryCandidate:
-    """Bracket of two candidates on the same system.
+                      tensor: StructureTensor) -> SymmetryCandidate:
+    """Bracket of two closed-form candidates on the same system.
 
-    Closed form: new f0 = {f0, f0*}, new f_g = (f0 f_g*' - f0* f_g')
-    + [f, f*]_g, the structure-constant bracket of the coefficient
-    vectors.  Sampled candidates need second derivative channels to
-    produce the new derivative channel.
+    New f0 = {f0, f0*}, new f_g = (f0 f_g*' - f0* f_g') + [f, f*]_g, the
+    structure-constant bracket of the coefficient vectors.  A sampled
+    operand has no derivative of its derivative channel, so it raises
+    MissingDerivative.
     """
     t = y1.time
     _check_channels(y1, tensor.r)
     _check_channels(y2, tensor.r)
-    if y1.is_closed_form and y2.is_closed_form:
-        f, g = y1.f_exprs, y2.f_exprs
-        new = [function_bracket(f[0], g[0], t)]
-        for gm, w in enumerate(tensor.bracket(f[1:], g[1:])):
-            new.append(f[0] * g[gm + 1].diff(t) - g[0] * f[gm + 1].diff(t) + w)
-        return SymmetryCandidate.closed(new, time=t)
-    if y1.is_closed_form or y2.is_closed_form:
-        raise DimensionMismatch("mixing closed and sampled candidates")
-    if d2values is None:
+    if not (y1.is_closed_form and y2.is_closed_form):
         raise MissingDerivative(
-            "sampled candidate bracket needs second derivative channels")
-    if len(y1.grid) != len(y2.grid) or not np.allclose(y1.grid, y2.grid):
-        raise DimensionMismatch("candidates live on different grids")
-    v1, d1 = y1.values, y1.dvalues
-    v2, d2 = y2.values, y2.dvalues
-    dd1, dd2 = d2values
-    vals = v1[:, :1] * d2 - v2[:, :1] * d1
-    dvals = (d1[:, :1] * d2 + v1[:, :1] * dd2
-             - d2[:, :1] * d1 - v2[:, :1] * dd1)
-    br = tensor.bracket
-    for k in range(len(y1.grid)):
-        vals[k, 1:] += br(v1[k, 1:], v2[k, 1:])
-        dvals[k, 1:] += np.add(br(d1[k, 1:], v2[k, 1:]), br(v1[k, 1:], d2[k, 1:]))
-    return SymmetryCandidate.sampled(y1.grid, vals, dvals, time=t)
+            "the bracket of a sampled candidate needs second derivatives")
+    f, g = y1.f_exprs, y2.f_exprs
+    new = [function_bracket(f[0], g[0], t)]
+    for gm, w in enumerate(tensor.bracket(f[1:], g[1:])):
+        new.append(f[0] * g[gm + 1].diff(t) - g[0] * f[gm + 1].diff(t) + w)
+    return SymmetryCandidate.closed(new, time=t)
 
 
 def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
                             time: str = "t",
-                            aux: Optional[Tuple[str, Expr]] = None,
-                            t_samples: Optional[np.ndarray] = None
+                            aux: Optional[Tuple[str, Expr]] = None
                             ) -> ResidualReport:
     """Residual of the third-order reduction of the Riccati symmetry system:
 
@@ -737,7 +718,8 @@ def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
     aux=(u, T(u)) when the inputs are written in an auxiliary variable u
     with time = T(u), which turns fractional powers of time into
     polynomial data.  Exact zero is reported when the normal form
-    cancels; otherwise the residual is sampled.
+    cancels; otherwise the residual is sampled at the 19 evenly spaced
+    points of [0.1, 1] of the variable the inputs are written in.
     """
     f0, f3, eta, b0 = (Expr._coerce(e) for e in (f0, f3, eta, b0))
     if aux is None:
@@ -758,12 +740,9 @@ def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
              + 2 * deta * f3 + 4 * eta * d(f3))
     if resid.is_zero() is ZeroStatus.ZERO:
         return ResidualReport(0.0, exact=True)
-    if t_samples is None:
-        t_samples = np.linspace(0.1, 1.0, 19)
-    _need_points(len(t_samples))
+    t_samples = np.linspace(0.1, 1.0, 19).tolist()
     kernel = compile_numeric([resid], [var])
-    worst = max(_magnitude(kernel([tv])[0])
-                for tv in np.asarray(t_samples, dtype=float).tolist())
+    worst = max(_magnitude(kernel([tv])[0]) for tv in t_samples)
     return ResidualReport(float(worst), exact=False, npoints=len(t_samples))
 
 
@@ -822,33 +801,19 @@ class VerticalFamilyReport:
 def symmetry_algebra_f0_zero(sys: LieSystem,
                              t_span: Tuple[float, float] = (0.0, 1.0),
                              step: float = 1e-3,
-                             n_sample_times: int = 5,
                              nx: int = 10,
-                             seed: int = 0,
-                             inits: Optional[np.ndarray] = None
-                             ) -> VerticalFamilyReport:
-    """Integrate the reduced system df/dt = [f, b(t)] from a
-    fundamental set of initial vectors and verify numerically that the
-    resulting t-dependent fields close with the structure constants of
-    the algebra (the isomorphism given by evaluation at the start time).
+                             seed: int = 0) -> VerticalFamilyReport:
+    """Integrate the reduced system df/dt = [f, b(t)] from the unit
+    vectors e_1..e_r and verify numerically that the resulting
+    t-dependent fields close with the structure constants of the algebra
+    (the isomorphism given by evaluation at the start time).  The check
+    runs at 5 evenly spaced grid times, the ends included.
     """
     tensor = sys.algebra.tensor
     r = sys.r
     t = sys.time
-    if inits is None:
-        inits = np.eye(r)
-    inits = np.asarray(inits, dtype=float)
-    if inits.shape != (r, r):
-        raise DimensionMismatch(
-            f"{r} initial vectors of {r} entries needed, got shape {inits.shape}")
-    if not np.all(np.isfinite(inits)):
-        raise BadParams("initial coefficient vectors must be finite")
-    if np.linalg.matrix_rank(inits) < r:
-        raise DependentInitialConditions(
-            "initial coefficient vectors do not span the algebra")
-
+    units = np.eye(r, dtype=int).tolist()
     xs = _sample_states(sys.default_box(), nx, seed)
-    _need_points(n_sample_times)
     b_kernel = compile_numeric(sys.coeffs, [t])
     bracket = tensor.float_bracket()
 
@@ -856,13 +821,12 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
         return bracket(f, b_kernel([tv]))
 
     names = tuple(f"f{i + 1}" for i in range(r))
-    trajs = [rk4_solve(rhs, inits[i], t_span, step, varnames=names)
+    trajs = [rk4_solve(rhs, units[i], t_span, step, varnames=names)
              for i in range(r)]
 
     residual = _bracket_residual(sys.algebra.fields, xs)
     m = len(trajs[0].ts)
-    sample_idx = np.linspace(0, m - 1, n_sample_times).astype(int)
-    units = np.eye(r, dtype=int).tolist()
+    sample_idx = np.linspace(0, m - 1, 5).astype(int)
 
     worst = 0.0
     for idx in sample_idx:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .liesys import (
     _CandidateCore,
     _SystemCore,
     _bracket_residual,
+    _check_channels,
     _fold_coefficients,
     _fold_generators,
     _magnitude,
@@ -416,32 +417,6 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
                                         times=sysf.times)
 
 
-CandidateLike = Union[PDESymmetryCandidate, VectorField, Sequence]
-
-
-def _vertical_components(candidate: CandidateLike,
-                         sys: PDELieSystem) -> Tuple[Expr, ...]:
-    """Normalize a closed-form candidate to components over state space."""
-    if isinstance(candidate, VectorField):
-        if candidate.vars == sys.times + sys.vars:
-            for tv in sys.times:
-                if candidate.component(tv).is_zero() is not ZeroStatus.ZERO:
-                    raise NotVertical(
-                        f"candidate has a d/d{tv} component; the symmetry "
-                        f"criterion covers vertical fields only")
-            return candidate.components[sys.s:]
-        if candidate.vars == sys.vars:
-            return candidate.components
-        raise DimensionMismatch(
-            f"candidate field lives on {candidate.vars}, expected "
-            f"{sys.vars} or {sys.times + sys.vars}")
-    f_exprs = tuple(Expr._coerce(e) for e in candidate)
-    if len(f_exprs) != sys.r:
-        raise DimensionMismatch(
-            f"{sys.r} basis fields but {len(f_exprs)} coefficients")
-    return sys.algebra.combination(f_exprs).components
-
-
 def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
                      nx: int, seed: int) -> ResidualReport:
     joint = sys.times + sys.vars
@@ -490,9 +465,6 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
 
 def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
                       nt: int, nx: int, seed: int) -> ResidualReport:
-    if cand.r != sys.r:
-        raise DimensionMismatch(
-            f"{sys.r} basis fields but candidate has {cand.r} channels")
     r, s = sys.r, sys.s
     b_kernel = compile_numeric([c for row in sys.coeffs for c in row],
                                sys.times)
@@ -510,27 +482,39 @@ def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
     return ResidualReport(worst, exact=False, npoints=len(idx) * len(xs))
 
 
-def pde_symmetry_residual(candidate: CandidateLike, sys: PDELieSystem,
-                          nt: int = 25, nx: int = 20,
+def pde_symmetry_residual(candidate: PDESymmetryCandidate | VectorField,
+                          sys: PDELieSystem, nt: int = 25, nx: int = 20,
                           seed: int = 0) -> ResidualReport:
     """Residual of [d/dt_l + X_l, Y] over all directions, worst entry.
 
-    Closed-form candidates (coefficient tuples, vertical fields, or
-    PDESymmetryCandidate.closed) are checked symbolically first and
-    cross-checked against the jet-prolongation oracle on the dense time
-    lattice; sampled candidates are checked pointwise through honest
-    pairwise brackets, with the claimed partial derivatives feeding the
-    linear part.  A non-finite residual reports inf, and a sampled check
-    over no points raises GridEmpty.
+    Closed-form candidates (PDESymmetryCandidate.closed or a vertical
+    VectorField) are checked symbolically first and cross-checked against
+    the jet-prolongation oracle on the dense time lattice; sampled
+    candidates are checked pointwise through honest pairwise brackets,
+    with the claimed partial derivatives feeding the linear part.  A
+    non-finite residual reports inf, and a sampled check over no points
+    raises GridEmpty.
     """
     if isinstance(candidate, PDESymmetryCandidate):
         if candidate.times != sys.times:
             raise DimensionMismatch(
                 f"candidate over times {candidate.times}, system has "
                 f"{sys.times}")
+        _check_channels(candidate, sys.r)
         if not candidate.is_closed_form:
             return _sampled_residual(candidate, sys, nt, nx, seed)
-        eta = _vertical_components(candidate.f_exprs, sys)
+        eta = sys.algebra.combination(candidate.f_exprs).components
+    elif candidate.vars == sys.vars:
+        eta = candidate.components
+    elif candidate.vars == sys.times + sys.vars:
+        for tv in sys.times:
+            if candidate.component(tv).is_zero() is not ZeroStatus.ZERO:
+                raise NotVertical(
+                    f"candidate has a d/d{tv} component; the symmetry "
+                    f"criterion covers vertical fields only")
+        eta = candidate.components[sys.s:]
     else:
-        eta = _vertical_components(candidate, sys)
+        raise DimensionMismatch(
+            f"candidate field lives on {candidate.vars}, expected "
+            f"{sys.vars} or {sys.times + sys.vars}")
     return _closed_residual(eta, sys, nx, seed)

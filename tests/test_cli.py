@@ -205,13 +205,14 @@ def test_sampled_checks_do_not_load_numpy_random(tmp_path, seeded_cli_env):
                       {"time": "t", "f": ["0", "1", "0", "0"]})
     script = (
         "import io, sys\n"
-        "from liesym import make, pde_symmetry_residual\n"
+        "from liesym import PDESymmetryCandidate as C, make, pde_symmetry_residual\n"
         "from liesym.cli import main\n"
         "out = io.StringIO()\n"
         "argv = ['verify', '--catalog', 'riccati', '--param', 'eta=t',\n"
         f"        '--candidate', {cand!r}]\n"
         "assert main(argv, stdout=out) == 1 and 'exact=False' in out.getvalue()\n"
-        "rep = pde_symmetry_residual([1, 0, 0], make('partial_riccati').system)\n"
+        "rep = pde_symmetry_residual(C.closed([1, 0, 0]),\n"
+        "                            make('partial_riccati').system)\n"
         "assert not rep.exact and rep.npoints > 0\n"
         "assert 'numpy.random' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], env=seeded_cli_env,

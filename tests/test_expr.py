@@ -21,7 +21,6 @@ from liesym import (
     ZeroStatus,
     compile_numeric,
     parse,
-    zero_report,
 )
 from liesym.expr import Atom
 
@@ -113,20 +112,14 @@ def test_is_zero_tristate():
     assert (x - x).is_zero() is ZeroStatus.ZERO
     assert (x ** 2 + 1).is_zero() is ZeroStatus.NONZERO
     assert (g - t).is_zero() is ZeroStatus.UNKNOWN
-    report = zero_report(g - t, seed=7)
-    assert report.status is ZeroStatus.UNKNOWN
-    assert len(report.evidence) == 32
-    assert max(report.evidence) > 0
 
 
 def test_zero_report_without_evaluator():
+    # a leaf without an evaluator cancels like any other atom
     f = OpaqueFunction("f")
     e = Expr.opaque(f, "t") * 0 + Expr.opaque(f, "t") - Expr.opaque(f, "t")
     assert e.is_zero() is ZeroStatus.ZERO
-    g = Expr.opaque(f, "t") * t
-    report = zero_report(g, seed=3)
-    assert report.status is ZeroStatus.UNKNOWN
-    assert len(report.evidence) == 32
+    assert (Expr.opaque(f, "t") * t).is_zero() is ZeroStatus.UNKNOWN
 
 
 def test_subs():

@@ -75,27 +75,44 @@ def test_match_in_span_and_rank():
     assert field_rank([fields[0], fields[0]]) == 1
 
 
-def test_jacobi_residual_against_brute_force():
-    def brute(tensor):
-        worst = Fraction(0)
-        r = tensor.r
-        for a in range(r):
-            for b in range(r):
-                for g in range(r):
-                    for tau in range(r):
-                        s = sum((tensor.c(a, b, m) * tensor.c(m, g, tau)
-                                 + tensor.c(b, g, m) * tensor.c(m, a, tau)
-                                 + tensor.c(g, a, m) * tensor.c(m, b, tau)
-                                 for m in range(r)), Fraction(0))
-                        worst = max(worst, abs(s))
-        return worst
+def brute(tensor):
+    """The Jacobi residual over every index quadruple, from tensor.c."""
+    worst = Fraction(0)
+    r = tensor.r
+    for a in range(r):
+        for b in range(r):
+            for g in range(r):
+                for tau in range(r):
+                    s = sum((tensor.c(a, b, m) * tensor.c(m, g, tau)
+                             + tensor.c(b, g, m) * tensor.c(m, a, tau)
+                             + tensor.c(g, a, m) * tensor.c(m, b, tau)
+                             for m in range(r)), Fraction(0))
+                    worst = max(worst, abs(s))
+    return worst
 
+
+def test_jacobi_residual_against_brute_force():
     good = sl2_tensor()
     assert jacobi_residual(good) == 0
     assert brute(good) == 0
     bad = sl2_tensor()
     bad.set(1, 2, 2, 2)  # corrupt c233
     assert jacobi_residual(bad) == brute(bad) > 0
+
+
+@st.composite
+def antisymmetric_tensors(draw):
+    """Random small-integer constants c_abg for a < b: mostly not Lie."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(min_value=-2, max_value=2)
+    return StructureTensor(r, {(a, b, g): draw(entries) for a in range(r)
+                               for b in range(a + 1, r) for g in range(r)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(antisymmetric_tensors())
+def test_jacobi_residual_matches_brute_force(tensor):
+    assert jacobi_residual(tensor) == brute(tensor)
 
 
 def test_center_dimensions():

@@ -12,9 +12,9 @@ from liesym import make, names
 from liesym.errors import (
     BadParams,
     DependentBasis,
-    DependentInitialConditions,
     DimensionMismatch,
     GridEmpty,
+    MissingDerivative,
     PoleEncountered,
     StepNotPositive,
 )
@@ -548,25 +548,18 @@ def test_candidate_bracket_rejects_candidates_of_wrong_shape(other):
         candidate_bracket(ya, SymmetryCandidate.closed(other), sl2_tensor())
 
 
-def test_candidate_bracket_channel_form():
+@pytest.mark.parametrize("sampled", [(0,), (1,), (0, 1)],
+                         ids=["first", "second", "both"])
+def test_candidate_bracket_with_a_sampled_operand_is_missing_derivative(sampled):
+    # the new derivative channel needs second derivatives, which a
+    # sampled candidate does not carry
     t = Expr.var("t")
-    tensor = sl2_tensor()
-    ya = SymmetryCandidate.closed([t, t * t, 1 + t, Expr.const(2)])
-    yb = SymmetryCandidate.closed([Expr.const(1), t, t * t * t, t])
-    closed = candidate_bracket(ya, yb, tensor)
-
+    closed = SymmetryCandidate.closed([t, t * t, 1 + t, Expr.const(2)])
     ts = np.linspace(0.0, 1.0, 7)
-    chans = []
-    for cand in (ya, yb):
-        v, dv = cand.channels_at(ts)
-        ddv = np.array([[float(e.diff("t").diff("t").eval({"t": tv}))
-                         for e in cand.f_exprs] for tv in ts])
-        chans.append((SymmetryCandidate.sampled(ts, v, dv), ddv))
-    sampled = candidate_bracket(chans[0][0], chans[1][0], tensor,
-                                d2values=(chans[0][1], chans[1][1]))
-    vc, dvc = closed.channels_at(ts)
-    assert np.max(np.abs(sampled.values - vc)) < 1e-12
-    assert np.max(np.abs(sampled.dvalues - dvc)) < 1e-12
+    ops = [SymmetryCandidate.sampled(ts, *closed.channels_at(ts))
+           if i in sampled else closed for i in range(2)]
+    with pytest.raises(MissingDerivative):
+        candidate_bracket(*ops, sl2_tensor())
 
 
 def test_function_bracket():
@@ -675,30 +668,12 @@ def test_symmetry_algebra_f0_zero_riccati():
     assert len(report.trajectories) == 3
 
 
-def test_symmetry_algebra_f0_zero_rejects_dependent_inits():
-    algebra = LieAlgebraBasis(sl2_line_fields())
-    sys = LieSystem(algebra, (Expr.var("t"), 0, 1))
-    with pytest.raises(DependentInitialConditions):
-        symmetry_algebra_f0_zero(sys, inits=np.array([[1.0, 0, 0],
-                                                      [0, 1.0, 0],
-                                                      [1.0, 1.0, 0]]))
-
-
-def test_symmetry_algebra_f0_zero_rejects_inits_of_wrong_shape():
-    # unchecked, the fourth row would be dropped without notice
-    algebra = LieAlgebraBasis(sl2_line_fields())
-    sys = LieSystem(algebra, (Expr.var("t"), 0, 1))
-    with pytest.raises(DimensionMismatch):
-        symmetry_algebra_f0_zero(sys, inits=np.vstack([np.eye(3), np.ones(3)]))
-
-
-def test_symmetry_algebra_f0_zero_rejects_non_finite_inits():
-    algebra = LieAlgebraBasis(sl2_line_fields())
-    sys = LieSystem(algebra, (Expr.var("t"), 0, 1))
-    inits = np.eye(3)
-    inits[1, 2] = math.nan
-    with pytest.raises(BadParams):
-        symmetry_algebra_f0_zero(sys, inits=inits)
+def test_symmetry_algebra_f0_zero_starts_at_unit_vectors_and_samples_five_times():
+    sys = LieSystem(LieAlgebraBasis(sl2_line_fields()), (Expr.var("t"), 0, 1))
+    report = symmetry_algebra_f0_zero(sys, (0.0, 1.0), step=1e-2, nx=4)
+    assert [traj.states[0].tolist() for traj in report.trajectories] == [
+        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert report.sample_times == pytest.approx((0.0, 0.25, 0.5, 0.75, 1.0))
 
 
 def test_negative_sampling_seed_is_bad_params():
@@ -784,8 +759,7 @@ def test_riccati_reduction_detects_wrong_solution():
     eta = Expr.const(k) / (u * u * u * u)
     f3 = Expr.const(-k) * t_of_u + u * u * u + u + u * u + Fraction(1, 9)
     report = riccati_f3_ode_residual(Expr.const(k), f3, eta, 0,
-                                     aux=("u", t_of_u),
-                                     t_samples=np.linspace(1.1, 1.5, 9))
+                                     aux=("u", t_of_u))
     assert not report.exact
     assert report.max_abs > 1e-3
 
@@ -793,24 +767,18 @@ def test_riccati_reduction_detects_wrong_solution():
 def test_riccati_reduction_direct_polynomial():
     # eta = t, f0 = f3 = t: f3''' = f0''' = 0 and b0 = 0 leave
     # r = -2 eta' f0 + 2 eta' f3 + 4 eta f3' = -2t + 2t + 4t = 4t,
-    # so the sampled maximum on [0, 1] is 4
+    # so the maximum over the 19 samples of [0.1, 1] is 4, at t = 1
     t = Expr.var("t")
-    report = riccati_f3_ode_residual(t, t, t, 0,
-                                     t_samples=np.linspace(0.0, 1.0, 5))
-    assert not report.exact
+    report = riccati_f3_ode_residual(t, t, t, 0)
+    assert not report.exact and report.npoints == 19
     assert abs(report.max_abs - 4.0) < 1e-12
 
 
 def test_riccati_reduction_nan_sample_reads_inf():
     t = Expr.var("t")
-    report = riccati_f3_ode_residual(t, t, t, 0, t_samples=[0.1, math.nan])
+    gauge = Expr.opaque(OpaqueFunction("nan_gauge", lambda v: math.nan), "t")
+    report = riccati_f3_ode_residual(t, t, t, gauge)
     assert report.max_abs == math.inf
-
-
-def test_riccati_reduction_without_samples_is_grid_empty():
-    t = Expr.var("t")
-    with pytest.raises(GridEmpty):
-        riccati_f3_ode_residual(t, t, t, 0, t_samples=[])
 
 
 def test_riccati_reduction_takes_no_seed():
@@ -899,8 +867,6 @@ def test_symmetry_algebra_f0_zero_rejects_empty_grids():
     sys = LieSystem(LieAlgebraBasis(sl2_line_fields()), (Expr.var("t"), 0, 1))
     with pytest.raises(GridEmpty):
         symmetry_algebra_f0_zero(sys, step=1e-2, nx=0)
-    with pytest.raises(GridEmpty):
-        symmetry_algebra_f0_zero(sys, step=1e-2, n_sample_times=0)
 
 
 def test_state_box_must_cover_every_state_coordinate():
@@ -908,16 +874,6 @@ def test_state_box_must_cover_every_state_coordinate():
     with pytest.raises(DimensionMismatch):
         LieSystem(algebra, (Expr.var("t"), 0, 1),
                   state_box=((0.0, 1.0), (0.0, 1.0)))
-
-
-def test_candidate_bracket_rejects_grids_of_different_length():
-    tensor = sl2_tensor()
-    short, long = (SymmetryCandidate.sampled(np.linspace(0, 1, m),
-                                             np.zeros((m, 4)), np.zeros((m, 4)))
-                   for m in (5, 6))
-    with pytest.raises(DimensionMismatch):
-        candidate_bracket(short, long, tensor,
-                          d2values=(np.zeros((5, 4)), np.zeros((6, 4))))
 
 
 def _central_system():

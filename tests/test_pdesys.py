@@ -315,13 +315,13 @@ def test_exact_symmetry_has_exact_zero_residual():
 
 def test_zero_candidate_is_a_symmetry():
     sys2 = shared_profile_system(line_sl2_fields(), riccati_profiles())
-    rep = pde_symmetry_residual((0, 0, 0), sys2)
+    rep = pde_symmetry_residual(PDESymmetryCandidate.closed((0, 0, 0)), sys2)
     assert rep.exact and rep.max_abs == 0.0
 
 
 def test_constant_candidate_flagged_on_nonconstant_coefficients():
     sys2 = shared_profile_system(line_sl2_fields(), riccati_profiles())
-    rep = pde_symmetry_residual((1, 0, 0), sys2)
+    rep = pde_symmetry_residual(PDESymmetryCandidate.closed((1, 0, 0)), sys2)
     assert not rep.exact
     assert rep.max_abs > 1e-3
     assert rep.oracle_gap < 1e-9
@@ -371,7 +371,8 @@ def test_vertical_field_candidate_forms():
     with pytest.raises(NotVertical):
         pde_symmetry_residual(tilted, sys2)
     with pytest.raises(DimensionMismatch):
-        pde_symmetry_residual((Expr.one(), Expr.zero()), sys2)
+        pde_symmetry_residual(
+            PDESymmetryCandidate.closed((Expr.one(), Expr.zero())), sys2)
 
 
 def test_integrated_solution_passes_sampled_residual():
@@ -402,6 +403,10 @@ def test_candidate_shape_validation():
     three = PDESymmetryCandidate.closed((0, 0, 0), times=("t1", "t3"))
     with pytest.raises(DimensionMismatch):
         pde_symmetry_residual(three, sys2)
+    two = PDESymmetryCandidate.sampled(np.zeros((4, 2)), np.zeros((4, 2)),
+                                       np.zeros((4, 2, 2)))
+    with pytest.raises(DimensionMismatch, match="the algebra has 3"):
+        pde_symmetry_residual(two, sys2)
 
 
 @pytest.mark.parametrize("make_empty, make_both", [
@@ -447,7 +452,8 @@ def test_non_finite_curvature_reports_inf():
 def test_empty_grids_raise():
     sys2 = shared_profile_system(line_sl2_fields(), riccati_profiles())
     with pytest.raises(GridEmpty):
-        pde_symmetry_residual((1, 0, 0), sys2, nx=0)
+        pde_symmetry_residual(PDESymmetryCandidate.closed((1, 0, 0)), sys2,
+                              nx=0)
     built = build_pde_symmetry_system(sys2)
     path = TimePath(((0.0, 0.0), (1.0, 1.0)), steps=20)
     traj = integrate_along_path(built.system, [1.0, 0.5, -0.25], path)
