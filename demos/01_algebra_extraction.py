@@ -6,7 +6,7 @@ rational arithmetic, so the structure constants come out as Fractions,
 not floats, and the Jacobi identity can be checked exactly.
 """
 
-from liesym import make, names
+from liesym import center, jacobi_residual, make, names
 from liesym.vectorfield import lie_bracket
 
 print("catalog entries:")
@@ -21,7 +21,7 @@ for name in ("riccati", "quaternionic", "kummer_schwarz"):
     entry = make(name)
     alg = entry.system.algebra
     print(f"{name}: r={alg.r}, method={alg.method}, "
-          f"jacobi={alg.jacobi_residual()}")
+          f"jacobi={jacobi_residual(alg.tensor)}")
     print(f"  {alg.tensor!r}")
 print()
 
@@ -33,7 +33,7 @@ print()
 
 # An eight-dimensional algebra from a second-order scalar equation.
 octet = make("painleve_ince").system.algebra
-print(f"painleve_ince: r={octet.r}, jacobi={octet.jacobi_residual()}, "
-      f"center dim={len(octet.center())}")
+print(f"painleve_ince: r={octet.r}, jacobi={jacobi_residual(octet.tensor)}, "
+      f"center dim={len(center(octet.tensor))}")
 pair = lie_bracket(octet.fields[0], octet.fields[5])
 print("  [X1, X6] components:", [str(c) for c in pair.components[:3]], "...")

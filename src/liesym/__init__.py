@@ -37,7 +37,6 @@ from .expr import (
     parse,
 )
 from .vectorfield import (
-    JetVectorField,
     VectorField,
     autonomize,
     jet_var,

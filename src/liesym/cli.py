@@ -115,18 +115,27 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
+def _array(value, key: str) -> list:
+    """value if a JSON array, else ParseError (no string split into chars)."""
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a JSON array, got {value!r}")
+    return value
+
+
 def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
     try:
-        coords = tuple(str(v) for v in doc["vars"])
-        basis_rows = doc["basis"]
-        coeff_rows = doc["coeffs"]
+        coords = tuple(str(v) for v in _array(doc["vars"], "vars"))
+        basis_rows = [_array(row, "each basis row")
+                      for row in _array(doc["basis"], "basis")]
+        coeff_rows = _array(doc["coeffs"], "coeffs")
         name = str(doc.get("name", ""))
         fields = tuple(
             VectorField(coords, [parse(str(c), coords) for c in row])
             for row in basis_rows)
         algebra = LieAlgebraBasis(fields)
         if "times" in doc:
-            times = tuple(str(v) for v in doc["times"])
+            times = tuple(str(v) for v in _array(doc["times"], "times"))
+            coeff_rows = [_array(row, "each coeffs row") for row in coeff_rows]
             flat = [str(e) for row in coeff_rows for e in row]
             registry = _opaque_registry(flat)
             coeffs = tuple(
@@ -156,9 +165,10 @@ def _resolve_system(args: argparse.Namespace):
 
 def _candidate_from_doc(doc: dict, pde: bool):
     try:
-        rows = [str(e) for e in doc["f"]]
+        rows = [str(e) for e in _array(doc["f"], "f")]
         if pde:
-            times = tuple(str(v) for v in doc.get("times", ("t1", "t2")))
+            times = _array(doc.get("times", ["t1", "t2"]), "times")
+            times = tuple(str(v) for v in times)
             registry = _opaque_registry(rows)
             return PDESymmetryCandidate.closed(
                 [parse(e, times, registry=registry) for e in rows], times)
@@ -172,10 +182,13 @@ def _candidate_from_doc(doc: dict, pde: bool):
 
 def _path_from_doc(doc: dict) -> TimePath:
     try:
-        waypoints = [tuple(float(v) for v in w) for w in doc["waypoints"]]
-        steps = int(doc.get("steps", 200))
+        waypoints = [tuple(float(v) for v in _array(w, "each waypoint"))
+                     for w in _array(doc["waypoints"], "waypoints")]
+        steps = doc.get("steps", 200)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad path document: {exc}") from exc
+    if type(steps) is not int:  # a JSON true or 2.7 is no step count
+        raise ParseError(f"steps must be a JSON integer, got {steps!r}")
     return TimePath(tuple(waypoints), steps=steps)
 
 

@@ -441,8 +441,8 @@ class Expr:
     def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Substitute expressions for variables.
 
-        Opaque arguments may only be renamed to another bare variable;
-        substituting a composite expression into an opaque argument raises
+        A variable that is the argument of an opaque leaf here may not be
+        substituted, not even by another bare variable: that raises
         OpaqueSubstitution.
         """
         coerced = {k: Expr._coerce(v) for k, v in mapping.items()}
@@ -578,30 +578,13 @@ def _p_subs(p: Poly, mapping: Mapping[str, Expr]) -> Expr:
             if atom.kind == Atom.VAR and atom.name in mapping:
                 term = term * (mapping[atom.name] ** e)
             elif atom.kind == Atom.OPAQUE and atom.arg in mapping:
-                target = mapping[atom.arg]
-                new_arg = _as_bare_symbol(target)
-                if new_arg is None:
-                    raise OpaqueSubstitution(
-                        f"cannot substitute a composite expression into "
-                        f"@{atom.name}({atom.arg})")
-                term = term * (Expr.opaque(atom.func, new_arg) ** e)
+                raise OpaqueSubstitution(
+                    f"cannot substitute into @{atom.name}({atom.arg})")
             else:
                 term = term * Expr(
                     {((atom, e),): Fraction(1)}, dict(_ONE_POLY))
         out = out + term
     return out
-
-
-def _as_bare_symbol(e: Expr) -> Optional[str]:
-    if e.den != _ONE_POLY or len(e.num) != 1:
-        return None
-    (mono, coeff), = e.num.items()
-    if coeff != 1 or len(mono) != 1:
-        return None
-    atom, exp = mono[0]
-    if exp != 1 or atom.kind != Atom.VAR:
-        return None
-    return atom.name
 
 
 def _atom_value(atom: Atom, point: Mapping[str, float]):
@@ -783,6 +766,7 @@ def compile_numeric(exprs: Sequence[Expr],
 # -- parsing -------------------------------------------------------------
 
 _TOKEN_CHARS = set("+-*/^()@,'")
+_DIGITS = frozenset("0123456789")  # str.isdigit() also takes "²" and "١"
 
 
 def _tokenize(text: str):
@@ -795,10 +779,10 @@ def _tokenize(text: str):
         elif ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        elif ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -817,12 +801,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, variables, params, registry):
+    def __init__(self, text: str, variables, registry):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = set(variables)
-        self.params = dict(params or {})
         self.registry = dict(registry or {})
 
     def peek(self):
@@ -919,17 +902,16 @@ class _Parser:
             self.take()
             if value in self.variables:
                 return Expr.var(value)
-            if value in self.params:
-                v = self.params[value]
-                return v if isinstance(v, Expr) else Expr.const(Fraction(v))
             raise ParseError(f"unknown symbol {value!r} at position {pos}")
         raise ParseError(f"unexpected token at position {pos} in {self.text!r}")
 
 
-def parse(text: str, variables: Iterable[str],
-          params: Optional[Mapping[str, Number]] = None,
+def parse(text: str, variables: Iterable[str], *,
           registry: Optional[Mapping[str, OpaqueFunction]] = None) -> Expr:
-    """Parse infix syntax with exact rationals, ^ powers and @fn(t) leaves."""
+    """Parse infix syntax with exact rationals, ^ powers and @fn(t) leaves.
+
+    Numbers are ASCII; identifiers must be variables (no named constants).
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {type(text).__name__}")
-    return _Parser(text, variables, params, registry).parse()
+    return _Parser(text, variables, registry).parse()

@@ -22,20 +22,15 @@ POLE_LIMIT = 1e12
 
 @dataclass
 class Trajectory:
-    """A sampled solution curve with per-step error estimates."""
+    """A solution curve: ts (m,), states (m, n), per-step err_est (m,)."""
 
     ts: np.ndarray
     states: np.ndarray
     err_est: np.ndarray
-    varnames: Tuple[str, ...]
-    step: float
 
     def __post_init__(self):
         if len(self.ts) != len(self.states) or len(self.ts) != len(self.err_est):
             raise ValueError("trajectory arrays disagree in length")
-
-    def column(self, name: str) -> np.ndarray:
-        return self.states[:, self.varnames.index(name)]
 
 
 def _rk4_step(rhs, t, y, h, k1):
@@ -83,7 +78,6 @@ def rk4_solve(rhs: Callable[[float, List[float]], Sequence[float]],
               y0: Sequence[float],
               t_span: Tuple[float, float],
               step: float,
-              varnames: Optional[Sequence[str]] = None,
               excluded: Optional[Callable[[List[float]], bool]] = None) -> Trajectory:
     """Classical RK4 with a fixed step and half-step Richardson estimates.
 
@@ -99,7 +93,7 @@ def rk4_solve(rhs: Callable[[float, List[float]], Sequence[float]],
     feed only the stored error estimate |full - half*2|_inf / 15.
     Integration aborts with PoleEncountered when the right-hand side or
     the state leaves [-POLE_LIMIT, POLE_LIMIT] or hits the excluded set.
-    A non-finite t_span, y0 or step raises BadParams.
+    A non-finite t_span, y0 or step raises BadParams.  States keep y0's order.
     """
     t0, t1 = _check_span(t_span, step)
     y0_arr = np.asarray(y0, dtype=float).reshape(-1)
@@ -111,7 +105,6 @@ def rk4_solve(rhs: Callable[[float, List[float]], Sequence[float]],
     h = direction * step
     n = len(y0_arr)
     y = y0_arr.tolist()
-    names = tuple(varnames) if varnames else tuple(f"x{i}" for i in range(n))
     if excluded is not None and excluded(y):
         raise PoleEncountered("initial state is on the excluded locus",
                               t=t0, state=y0_arr)
@@ -152,8 +145,7 @@ def rk4_solve(rhs: Callable[[float, List[float]], Sequence[float]],
         ts.append(t)
         states.append(y)
         errs.append(err)
-    return Trajectory(np.array(ts), np.array(states), np.array(errs),
-                      names, step)
+    return Trajectory(np.array(ts), np.array(states), np.array(errs))
 
 
 def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:

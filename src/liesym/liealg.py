@@ -344,9 +344,3 @@ class LieAlgebraBasis:
                 acc = acc + w * f.components[i]
             comps.append(acc)
         return VectorField(self.vars, comps)
-
-    def jacobi_residual(self) -> Fraction:
-        return jacobi_residual(self.tensor)
-
-    def center(self) -> List[List[Fraction]]:
-        return center(self.tensor)

@@ -121,8 +121,7 @@ class LieSystem(_SystemCore):
 def integrate(sys: LieSystem, x0: Sequence[float],
               t_span: Tuple[float, float], step: float) -> Trajectory:
     """Fixed-step RK4 trajectory of the system itself."""
-    return rk4_solve(sys.rhs(), x0, t_span, step, varnames=sys.vars,
-                     excluded=sys.excluded)
+    return rk4_solve(sys.rhs(), x0, t_span, step, excluded=sys.excluded)
 
 
 # -- symmetry system construction ------------------------------------------
@@ -820,9 +819,7 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     def rhs(tv, f):
         return bracket(f, b_kernel([tv]))
 
-    names = tuple(f"f{i + 1}" for i in range(r))
-    trajs = [rk4_solve(rhs, units[i], t_span, step, varnames=names)
-             for i in range(r)]
+    trajs = [rk4_solve(rhs, units[i], t_span, step) for i in range(r)]
 
     residual = _bracket_residual(sys.algebra.fields, xs)
     m = len(trajs[0].ts)

@@ -44,7 +44,6 @@ from .errors import (
     DimensionMismatch,
     MissingDerivative,
     NotIntegrable,
-    NotVertical,
     OpaqueNoDerivative,
 )
 from .expr import Expr, ZeroStatus, _define, compile_numeric
@@ -337,14 +336,14 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
         w0 = path.waypoints[i]
         d = [b - a for a, b in zip(w0, path.waypoints[i + 1])]
         leg = rk4_solve(leg_rhs(*w0, *d), y, (0.0, 1.0), 1.0 / path.steps,
-                        varnames=sys.vars, excluded=sys.excluded)
+                        excluded=sys.excluded)
         y = leg.states[-1]
         skip = 1 if i > 0 else 0
         ts_parts.append(leg.ts[skip:] + i)
         state_parts.append(leg.states[skip:])
         err_parts.append(leg.err_est[skip:])
     return Trajectory(np.concatenate(ts_parts), np.vstack(state_parts),
-                      np.concatenate(err_parts), sys.vars, 1.0 / path.steps)
+                      np.concatenate(err_parts))
 
 
 # -- symmetry candidates and the dual residual oracle -------------------------
@@ -437,7 +436,7 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
     for l, drift in enumerate(drifts):
         for i, xv in enumerate(sys.vars):
             f_il = Expr.var(jet_var(xv, sys.times[l])) - drift.components[i]
-            jet_comps.append(jet.field.apply(f_il).subs(onshell))
+            jet_comps.append(jet.apply(f_il).subs(onshell))
 
     paired = list(zip(bracket_comps, jet_comps))
     statuses = {e.is_zero() for e, _ in paired}
@@ -487,13 +486,13 @@ def pde_symmetry_residual(candidate: PDESymmetryCandidate | VectorField,
                           seed: int = 0) -> ResidualReport:
     """Residual of [d/dt_l + X_l, Y] over all directions, worst entry.
 
-    Closed-form candidates (PDESymmetryCandidate.closed or a vertical
-    VectorField) are checked symbolically first and cross-checked against
-    the jet-prolongation oracle on the dense time lattice; sampled
-    candidates are checked pointwise through honest pairwise brackets,
-    with the claimed partial derivatives feeding the linear part.  A
-    non-finite residual reports inf, and a sampled check over no points
-    raises GridEmpty.
+    Closed-form candidates (PDESymmetryCandidate.closed, or a VectorField
+    on the state coordinates alone, for fields outside the span) are
+    checked symbolically first and cross-checked against the jet oracle
+    on the dense time lattice; sampled candidates are checked pointwise
+    through honest pairwise brackets, with the claimed partial
+    derivatives feeding the linear part.  A non-finite residual reports
+    inf, and a sampled check over no points raises GridEmpty.
     """
     if isinstance(candidate, PDESymmetryCandidate):
         if candidate.times != sys.times:
@@ -506,15 +505,7 @@ def pde_symmetry_residual(candidate: PDESymmetryCandidate | VectorField,
         eta = sys.algebra.combination(candidate.f_exprs).components
     elif candidate.vars == sys.vars:
         eta = candidate.components
-    elif candidate.vars == sys.times + sys.vars:
-        for tv in sys.times:
-            if candidate.component(tv).is_zero() is not ZeroStatus.ZERO:
-                raise NotVertical(
-                    f"candidate has a d/d{tv} component; the symmetry "
-                    f"criterion covers vertical fields only")
-        eta = candidate.components[sys.s:]
     else:
         raise DimensionMismatch(
-            f"candidate field lives on {candidate.vars}, expected "
-            f"{sys.vars} or {sys.times + sys.vars}")
+            f"candidate field lives on {candidate.vars}, expected {sys.vars}")
     return _closed_residual(eta, sys, nx, seed)

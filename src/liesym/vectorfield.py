@@ -9,8 +9,7 @@ over (t, x, v) differentiates through t as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotVertical
 from .expr import Expr, ZeroStatus
@@ -108,27 +107,12 @@ def jet_var(xvar: str, timevar: str) -> str:
     return f"{xvar}_{timevar}"
 
 
-@dataclass(frozen=True)
-class JetVectorField:
-    """First prolongation of a vertical field to first-order jet space.
-
-    `field` lives on base coordinates followed by jet coordinates; time
-    symbols appear only inside components; its leading components are
-    those of `base`.
-    """
-
-    times: Tuple[str, ...]
-    base: VectorField
-    field: VectorField
-    jet_vars: Tuple[Tuple[str, ...], ...]
-
-
-def prolong_first(field: VectorField, times: Iterable[str]) -> JetVectorField:
+def prolong_first(field: VectorField, times: Iterable[str]) -> VectorField:
     """First prolongation of a vertical field over the given time symbols.
 
-    The input has components eta_k(t, x) over x coordinates only; the
-    output adds, for each jet coordinate x_{k,q}, the component
-    d eta_k/d t_q + sum_j (d eta_k/d x_j) x_{j,q}.
+    The input has components eta_k(t, x) over x coordinates only.  The
+    output lives on x then the jet coordinates x_{k,q} = jet_var(x_k, t_q),
+    k-major: eta, then d eta_k/d t_q + sum_j (d eta_k/d x_j) x_{j,q}.
     """
     times = tuple(times)
     for tv in times:
@@ -148,6 +132,5 @@ def prolong_first(field: VectorField, times: Iterable[str]) -> JetVectorField:
             for j, xv in enumerate(field.vars):
                 comp = comp + eta.diff(xv) * Expr.var(jet_names[j][q])
             jet_exprs.append(comp)
-    full = VectorField(field.vars + tuple(flat),
+    return VectorField(field.vars + tuple(flat),
                        field.components + tuple(jet_exprs))
-    return JetVectorField(times, field, full, jet_names)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -438,6 +439,98 @@ def test_negative_seed_is_usage(tmp_path, monkeypatch, capsys, flag, env):
 
 def test_unknown_subcommand_is_usage():
     assert run_cli("bogus")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("cmd", [
+    ("symmetrize", "--catalog", "dbh", "--b0", "t^\u00b2"),
+    ("integrate", "--catalog", "riccati", "--param", "eta=t^\u00b2"),
+])
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys, cmd):
+    # the superscript two satisfies str.isdigit() but is no ASCII digit:
+    # one line on stderr and exit 2, no traceback
+    code, _ = run_cli(*cmd, "--out", str(tmp_path / "o.csv"))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith("liesym: error: ") and err.count("\n") == 1, err
+
+
+SYSTEM = {"vars": ["x"], "basis": [["1"], ["x"], ["x^2"]],
+          "coeffs": ["t", "0", "1"]}
+MULTI = {"vars": ["x"], "basis": [["1"], ["x"], ["x^2"]],
+         "times": ["s", "t"], "coeffs": [["1", "2"], ["0", "0"], ["1", "2"]]}
+
+
+# a string where an array belongs is refused, not split into characters
+# ("x" would read as ["x"], "t01" as ["t", "0", "1"], "st" as ["s", "t"])
+@pytest.mark.parametrize("key, doc", [
+    ("vars", dict(SYSTEM, vars="x")),
+    ("basis", dict(SYSTEM, basis="1")),
+    ("each basis row", dict(SYSTEM, basis=[["1"], "x", ["x^2"]])),
+    ("coeffs", dict(SYSTEM, coeffs="t01")),
+    ("times", dict(MULTI, times="st")),
+    ("each coeffs row", dict(MULTI, coeffs=[["1", "2"], "00", ["1", "2"]])),
+])
+def test_system_document_needs_arrays(tmp_path, capsys, key, doc):
+    code, _ = run_cli("check-algebra", "--input",
+                      write_json(tmp_path / "sys.json", doc))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith(f"liesym: error: {key} must be a JSON array"), err
+
+
+@pytest.mark.parametrize("key, cmd, doc", [
+    ("f", ("--catalog", "riccati", "--param", "eta=t"),
+     {"time": "t", "f": "1000"}),
+    ("times", ("--catalog", "partial_riccati"),
+     {"times": "ab", "f": ["1", "0", "0"]}),
+])
+def test_candidate_document_needs_arrays(tmp_path, capsys, key, cmd, doc):
+    code, _ = run_cli("verify", *cmd, "--candidate",
+                      write_json(tmp_path / "c.json", doc))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith(f"liesym: error: {key} must be a JSON array"), err
+
+
+@pytest.mark.parametrize("key, doc", [
+    ("waypoints", {"waypoints": "01"}),
+    ("each waypoint", {"waypoints": [[0, 0], "11"]}),
+    ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": 2.7}),
+    ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": True}),
+    ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": "200"}),
+])
+def test_path_document_needs_arrays_and_integer_steps(tmp_path, capsys, key,
+                                                      doc):
+    code, _ = run_cli("pde", "--catalog", "partial_riccati", "--x0", "0.2",
+                      "--path", write_json(tmp_path / "path.json", doc),
+                      "--out", str(tmp_path / "p.csv"),
+                      "--report", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith(f"liesym: error: {key} must be a JSON "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["path.json"]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.txt")
+
+
+def test_list_show_and_check_algebra_match_the_golden_text():
+    """The exact stdout of list, and of show and check-algebra for every
+    entry: Fractions and normal-form strings, the same on every platform.
+    Each command line in the file is preceded by "$ liesym"."""
+    argvs = [["list"]]
+    for n in names():
+        argvs += [["show", n], ["check-algebra", "--catalog", n]]
+    got = []
+    for argv in argvs:
+        code, out = run_cli(*argv)
+        assert code == EXIT_OK, argv
+        got += ["$ liesym " + " ".join(argv)] + out.splitlines()
+    with open(GOLDEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    for i, (a, b) in enumerate(zip(got, want), start=1):
+        assert a == b, f"line {i} of {os.path.basename(GOLDEN)}"
+    assert len(got) == len(want)
 
 
 def _run_suite(cwd, env):

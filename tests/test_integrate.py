@@ -111,12 +111,6 @@ def test_rk4_step_validation():
         rk4_solve(lambda t, y: y, [1.0], (0.0, 0.0), 0.1)
 
 
-def test_trajectory_column():
-    traj = rk4_solve(lambda t, y: np.array([1.0, 2.0]), [0.0, 0.0],
-                     (0.0, 1.0), 0.1, varnames=("u", "v"))
-    assert abs(traj.column("v")[-1] - 2.0) < 1e-12
-
-
 def test_cumulative_simpson_quadratic_exact():
     # local quadratic rules integrate t^2 exactly
     step = 0.1
