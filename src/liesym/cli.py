@@ -8,19 +8,20 @@ value of a profile left opaque).  With a fixed seed (flag or
 LIESYM_SEED) every run is byte-for-byte reproducible.
 
 Input files are JSON.  A system document has "vars", "basis" (one list
-of component expressions per field), "coeffs" and optional "gauge_b0",
-"time", "name"; coefficient strings may use @fn(t) for opaque profiles,
-which get a formal derivative chain and no evaluator.  A multi-time
-document replaces "time" with "times" and makes "coeffs" a matrix with
-one row per basis field and one column per time.  A path document has
-"waypoints" and per-segment "steps"; a candidate document has "f" and
-"time" (or "times").
+of component expressions per field), "coeffs" and optional "gauge_b0"
+and JSON strings "time" and "name"; coefficient strings may use
+@fn(t) for opaque profiles, which get a formal derivative chain and no
+evaluator.  A multi-time document replaces "time" with "times" and makes
+"coeffs" a matrix with one row per basis field and one column per time.
+A path document has "waypoints" and per-segment "steps"; a candidate
+document has "f" and "time" (or "times").
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -122,13 +123,20 @@ def _array(value, key: str) -> list:
     return value
 
 
+def _string(value, key: str) -> str:
+    """value if a JSON string, else ParseError (no number read as a name)."""
+    if not isinstance(value, str):
+        raise ParseError(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
 def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
     try:
         coords = tuple(str(v) for v in _array(doc["vars"], "vars"))
         basis_rows = [_array(row, "each basis row")
                       for row in _array(doc["basis"], "basis")]
         coeff_rows = _array(doc["coeffs"], "coeffs")
-        name = str(doc.get("name", ""))
+        name = _string(doc.get("name", ""), "name")
         fields = tuple(
             VectorField(coords, [parse(str(c), coords) for c in row])
             for row in basis_rows)
@@ -142,7 +150,7 @@ def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
                 tuple(parse(str(e), times, registry=registry) for e in row)
                 for row in coeff_rows)
             return PDELieSystem(algebra, coeffs=coeffs, times=times, name=name)
-        time = str(doc.get("time", "t"))
+        time = _string(doc.get("time", "t"), "time")
         texts = [str(e) for e in coeff_rows] + [str(doc.get("gauge_b0", "0"))]
         registry = _opaque_registry(texts)
         coeffs = tuple(parse(t_, [time], registry=registry) for t_ in texts[:-1])
@@ -172,7 +180,7 @@ def _candidate_from_doc(doc: dict, pde: bool):
             registry = _opaque_registry(rows)
             return PDESymmetryCandidate.closed(
                 [parse(e, times, registry=registry) for e in rows], times)
-        time = str(doc.get("time", "t"))
+        time = _string(doc.get("time", "t"), "time")
         registry = _opaque_registry(rows)
         return SymmetryCandidate.closed(
             [parse(e, [time], registry=registry) for e in rows], time=time)
@@ -511,7 +519,10 @@ _SHARED = {
 _SOURCE = ("--catalog", "--input", "--param")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built at first use and kept: a build costs ~25 parses, and
+    parse_args leaves the parser unchanged."""
     top = _ArgumentParser(
         prog="liesym",
         description="Construct, integrate and verify the symmetry systems "

@@ -1,8 +1,10 @@
 """Exact expression trees for the symbolic layer.
 
 An Expr is kept in a rational normal form: a multivariate polynomial with
-exact Fraction coefficients divided by a single shared denominator
-polynomial.  The atoms of a monomial are either plain variables or opaque
+exact Fraction coefficients divided by a single shared monic denominator
+polynomial.  A gcd of numerator and denominator is taken only when they
+share exactly one atom, by Euclid's algorithm on the sparse form's own
+division.  The atoms of a monomial are either plain variables or opaque
 function leaves such as @eta(t).  Opaque leaves are treated as atomic
 symbols by the normalizer; they carry an optional numeric evaluator and an
 optional derivative leaf, so differentiation and evaluation work through
@@ -86,9 +88,6 @@ class Atom:
     def __hash__(self):
         return hash(self.key())
 
-    def __lt__(self, other):
-        return self.key() < other.key()
-
     def __repr__(self):
         if self.kind == Atom.VAR:
             return self.name
@@ -112,6 +111,11 @@ Poly = dict
 _ONE_POLY = {(): Fraction(1)}
 
 
+def _mono(exponents: dict) -> Monomial:
+    """The monomial of an atom -> positive exponent map."""
+    return tuple(sorted(exponents.items(), key=lambda p: p[0].key()))
+
+
 def _mono_key(mono: Monomial):
     return (sum(e for _, e in mono), tuple((a.key(), e) for a, e in mono))
 
@@ -121,12 +125,10 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
-    merged = {}
-    for a, e in m1:
-        merged[a] = merged.get(a, 0) + e
+    merged = dict(m1)
     for a, e in m2:
         merged[a] = merged.get(a, 0) + e
-    return tuple(sorted(((a, e) for a, e in merged.items() if e), key=lambda p: p[0].key()))
+    return _mono(merged)
 
 
 def _p_add(p1: Poly, p2: Poly) -> Poly:
@@ -180,40 +182,39 @@ def _p_leading(p: Poly) -> Monomial:
     return min(p, key=_mono_order_key)
 
 
-def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True when monomial m1 divides m2 exponentwise."""
-    need = dict(m1)
-    for a, e in m2:
-        if a in need:
-            need[a] = need[a] - e if need[a] > e else 0
-            if need[a] <= 0:
-                del need[a]
-    return not need
-
-
-def _mono_div(m2: Monomial, m1: Monomial) -> Monomial:
+def _mono_div(m2: Monomial, m1: Monomial) -> Optional[Monomial]:
+    """m2 / m1, or None when m1 does not divide m2 exponentwise."""
     quo = dict(m2)
     for a, e in m1:
-        quo[a] -= e
-        if not quo[a]:
+        left = quo.get(a, 0) - e
+        if left < 0:
+            return None
+        if left:
+            quo[a] = left
+        else:
             del quo[a]
-    return tuple(sorted(quo.items(), key=lambda p: p[0].key()))
+    return _mono(quo)
 
 
 def _p_divmod(num: Poly, den: Poly):
-    """Multivariate division in graded-lex order; returns (quotient, remainder)."""
+    """Multivariate division in graded-lex order; returns (quotient, remainder).
+
+    It stops at the first leading term of the remainder that den's leading
+    term does not divide.  In one atom that is the top-degree term, so
+    this is univariate division with remainder.
+    """
     quo: Poly = {}
     rem = dict(num)
     lead_d = _p_leading(den)
     lc_d = den[lead_d]
     while rem:
         lead_r = _p_leading(rem)
-        if not _mono_divides(lead_d, lead_r):
-            break
         m = _mono_div(lead_r, lead_d)
+        if m is None:
+            break
         c = rem[lead_r] / lc_d
         quo[m] = quo.get(m, Fraction(0)) + c
-        rem = _p_add(rem, _p_neg(_p_mul({m: c}, den)))
+        rem = _p_add(rem, _p_mul({m: -c}, den))
     return quo, rem
 
 
@@ -225,48 +226,11 @@ def _p_atoms(p: Poly) -> set:
     return out
 
 
-def _univariate_coeffs(p: Poly) -> list:
-    deg = 0
-    for m in p:
-        if m:
-            deg = max(deg, m[0][1])
-    coeffs = [Fraction(0)] * (deg + 1)
-    for m, c in p.items():
-        coeffs[m[0][1] if m else 0] = c
-    return coeffs
-
-
-def _poly_from_univariate(coeffs: list, atom: Atom) -> Poly:
-    out: Poly = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            out[() if e == 0 else ((atom, e),)] = c
-    return out
-
-
-def _uni_gcd(c1: list, c2: list) -> list:
-    """Monic gcd of univariate coefficient lists over Fraction."""
-
-    def trim(c):
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    a, b = trim(list(c1)), trim(list(c2))
+def _p_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of two nonzero polynomials in one shared atom, by Euclid."""
     while b:
-        while len(a) >= len(b):
-            if not a:
-                break
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[shift + i] -= f * bc
-            trim(a)
-        a, b = b, a
-    if a:
-        lc = a[-1]
-        a = [c / lc for c in a]
-    return a
+        a, b = b, _p_divmod(a, b)[1]
+    return _p_scale(a, 1 / a[_p_leading(a)])
 
 
 class ZeroStatus(enum.Enum):
@@ -320,20 +284,19 @@ class Expr:
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
-    def _coerce(value) -> "Expr":
-        if isinstance(value, Expr):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Expr.const(value)
-        raise TypeError(f"cannot use {type(value).__name__} in an Expr")
-
-    @staticmethod
-    def _try_coerce(value):
+    def _try_coerce(value) -> Optional["Expr"]:
         if isinstance(value, Expr):
             return value
         if isinstance(value, (int, Fraction)):
             return Expr.const(value)
         return None
+
+    @staticmethod
+    def _coerce(value) -> "Expr":
+        out = Expr._try_coerce(value)
+        if out is None:
+            raise TypeError(f"cannot use {type(value).__name__} in an Expr")
+        return out
 
     def __add__(self, other):
         other = Expr._try_coerce(other)
@@ -400,9 +363,8 @@ class Expr:
 
         Equal expressions may differ in form, so an Expr has no hash.
         """
-        try:
-            other = Expr._coerce(other)
-        except TypeError:
+        other = Expr._try_coerce(other)
+        if other is None:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
@@ -419,13 +381,10 @@ class Expr:
                 out.add(a.arg)
         return out
 
-    def opaque_atoms(self) -> set:
-        return {a for a in _p_atoms(self.num) | _p_atoms(self.den)
-                if a.kind == Atom.OPAQUE}
-
     @property
     def has_opaque(self) -> bool:
-        return bool(self.opaque_atoms())
+        return any(a.kind == Atom.OPAQUE
+                   for a in _p_atoms(self.num) | _p_atoms(self.den))
 
     # -- calculus ------------------------------------------------------
 
@@ -460,14 +419,13 @@ class Expr:
         A point binding only ints and Fractions on an opaque-free
         expression is computed exactly and converted once at the end.
         """
-        exact = not self.has_opaque and all(
-            isinstance(v, (int, Fraction)) for v in point.values())
-        n = _p_eval(self.num, point, exact)
-        d = _p_eval(self.den, point, exact)
+        if not self.has_opaque and all(
+                isinstance(v, (int, Fraction)) for v in point.values()):
+            return float(self.eval_exact(point))
+        n = _p_eval(self.num, point, False)
+        d = _p_eval(self.den, point, False)
         if d == 0:
             raise DivisionByZero("denominator vanishes at the point")
-        if exact:
-            return float(Fraction(n) / Fraction(d))
         return n / d
 
     def eval_exact(self, point: Mapping[str, Number]) -> Fraction:
@@ -520,7 +478,7 @@ def _reduce(num: Poly, den: Poly):
         if not common:
             break
     if common:
-        shift = tuple(sorted(common.items(), key=lambda p: p[0].key()))
+        shift = _mono(common)
         num = {_mono_div(m, shift): c for m, c in num.items()}
         den = {_mono_div(m, shift): c for m, c in den.items()}
     if len(den) == 1 and () in den:
@@ -531,14 +489,11 @@ def _reduce(num: Poly, den: Poly):
     if not rem:
         return quo, dict(_ONE_POLY)
     # Univariate gcd when both sides live in one shared atom.
-    atoms = _p_atoms(num) | _p_atoms(den)
-    if len(atoms) == 1:
-        atom = next(iter(atoms))
-        g = _uni_gcd(_univariate_coeffs(num), _univariate_coeffs(den))
-        if len(g) > 1:
-            gp = _poly_from_univariate(g, atom)
-            num, _ = _p_divmod(num, gp)
-            den, _ = _p_divmod(den, gp)
+    if len(_p_atoms(num) | _p_atoms(den)) == 1:
+        g = _p_gcd(num, den)
+        if g != _ONE_POLY:
+            num = _p_divmod(num, g)[0]
+            den = _p_divmod(den, g)[0]
     # Monic denominator for a deterministic normal form.
     lc = den[_p_leading(den)]
     if lc != 1:
@@ -827,16 +782,7 @@ class _Parser:
         return e
 
     def sum(self) -> Expr:
-        kind, _, _ = self.peek()
-        negate = False
-        while kind in ("+", "-"):
-            if kind == "-":
-                negate = not negate
-            self.take()
-            kind = self.peek()[0]
         e = self.product()
-        if negate:
-            e = -e
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.product()

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from liesym import names
+from liesym import cli, names
 from liesym.cli import (
     CSV_HEADER,
     EXIT_CHECK,
@@ -490,6 +490,37 @@ def test_candidate_document_needs_arrays(tmp_path, capsys, key, cmd, doc):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert err.startswith(f"liesym: error: {key} must be a JSON array"), err
+
+
+# a number where a name belongs is refused, not made a coordinate name
+# (a "time" of 5 wrote the CSV header 5,x,err_est)
+@pytest.mark.parametrize("key, argv, doc", [
+    ("time", ("integrate", "--x0", "0.5", "--input"), dict(SYSTEM, time=5)),
+    ("name", ("check-algebra", "--input"), dict(SYSTEM, name=5)),
+    ("time", ("verify", "--catalog", "riccati", "--param", "eta=t",
+              "--candidate"), {"time": 7, "f": ["1", "0", "0", "0"]}),
+])
+def test_documents_need_string_names(tmp_path, monkeypatch, capsys, key, argv,
+                                     doc):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(*argv, write_json(tmp_path / "doc.json", doc))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith(f"liesym: error: {key} must be a JSON string"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    cli._build_parser.cache_clear()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "show",
+                        lambda args, out: seen.append(args.param) or EXIT_OK)
+    for argv in (["show", "riccati", "--param", "eta=t"], ["show", "riccati"],
+                 ["show", "dbh", "--param", "alpha=1,2,3"]):
+        assert run_cli(*argv)[0] == EXIT_OK
+    assert cli._build_parser.cache_info().misses == 1
+    # a --param of one call is not left in the next call's default
+    assert seen == [[("eta", "t")], [], [("alpha", "1,2,3")]]
 
 
 @pytest.mark.parametrize("key, doc", [

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liesym import (
@@ -22,7 +22,7 @@ from liesym import (
     compile_numeric,
     parse,
 )
-from liesym.expr import Atom
+from liesym.expr import Atom, _p_divmod, _p_gcd
 
 x = Expr.var("x")
 y = Expr.var("y")
@@ -142,6 +142,35 @@ def test_parse_syntax():
     assert parse("(x+1)^2", ["x"]) == x ** 2 + 2 * x + 1
     assert parse("x^-1", ["x"]) == 1 / x
     assert parse("0.5*x", ["x"]) == Fraction(1, 2) * x
+    # a unary sign is read where an operand starts, at any depth; it binds
+    # tighter than * and / and looser than ^
+    for text, printed, order in [
+            ("--x", "x", ["x"]),
+            ("-x^2", "-x^2", ["-x^2"]),
+            ("-2*x/3", "-2/3*x", ["-2/3*x"]),
+            ("+-x", "-x", ["-x"]),
+            ("x*-y", "-x*y", ["-x*y"]),
+            ("-(x+1)*(x+2)", "-x^2 - 3*x - 2", ["-x^2", "-3*x", "-2"]),
+            ("- - -x/(x+1)", "(-x)/(x + 1)", ["-x"]),
+            ("-x^-2", "(-1)/(x^2)", ["-1"]),
+            ("(-x)^3", "-x^3", ["-x^3"]),
+            ("x/-(y+1)", "(-x)/(y + 1)", ["-x"])]:
+        e = parse(text, ["x", "y"])
+        assert (str(e), _terms(e.num)) == (printed, order), text
+    for text, message in [
+            ("-", "unexpected token at position 1 in '-'"),
+            ("+*x", "unexpected token at position 1 in '+*x'"),
+            ("x-", "unexpected token at position 2 in 'x-'"),
+            ("-@", "expected ident at position 2 in '-@'")]:
+        with pytest.raises(ParseError) as info:
+            parse(text, ["x"])
+        assert str(info.value) == message, text
+
+
+def _terms(p):
+    """The polynomial's terms as strings, in its dict order (the order in
+    which compile_numeric sums them)."""
+    return [str(Expr({m: c}, {(): 1})) for m, c in p.items()]
 
 
 def test_parse_opaque():
@@ -262,6 +291,60 @@ def test_division_round_trip(a, b):
         return
     q = a / b
     assert q * b == a
+
+
+def test_univariate_gcd_normal_forms():
+    """Quotients whose two sides share a factor in one atom: the printed
+    normal form and the term order of each side."""
+    reg = {"eta": _eta_chain()}
+    for text, printed, num, den in [
+            ("(t^2-1)/(t^2+2*t+1)", "(t - 1)/(t + 1)", ["t", "-1"], ["t", "1"]),
+            ("(@eta(t)^2-1)/(@eta(t)^2+2*@eta(t)+1)",
+             "(@eta(t) - 1)/(@eta(t) + 1)", ["@eta(t)", "-1"], ["@eta(t)", "1"]),
+            ("(t^4-1)/(3*t^3+3*t^2+t+1)",
+             "(1/3*t^3 - 1/3*t^2 + 1/3*t - 1/3)/(t^2 + 1/3)",
+             ["1/3*t^3", "-1/3*t^2", "1/3*t", "-1/3"], ["t^2", "1/3"]),
+            ("(1/2*t^2+t)/(t^2-4)", "(1/2*t)/(t - 2)", ["1/2*t"], ["t", "-2"]),
+            ("(@eta(t)^3-@eta(t))/(2*@eta(t)^2+@eta(t)-1)",
+             "(1/2*@eta(t)^2 - 1/2*@eta(t))/(@eta(t) - 1/2)",
+             ["1/2*@eta(t)^2", "-1/2*@eta(t)"], ["@eta(t)", "-1/2"]),
+            ("(t+1)^2/(t^2-1)", "(t + 1)/(t - 1)", ["t", "1"], ["t", "-1"]),
+            ("(t^3+1)/(6*t^2+6*t)", "(1/6*t^2 - 1/6*t + 1/6)/(t)",
+             ["1/6*t^2", "-1/6*t", "1/6"], ["t"])]:
+        e = parse(text, ["t"], registry=reg)
+        assert (str(e), _terms(e.num), _terms(e.den)) == (printed, num, den), text
+
+
+def _univariate(coeffs, leaf):
+    """sum(coeffs[k] * leaf^k)"""
+    e = Expr.zero()
+    for k, c in enumerate(coeffs):
+        e = e + c * leaf ** k
+    return e
+
+
+_coeff_lists = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coeff_lists, _coeff_lists, _coeff_lists, st.booleans())
+def test_normal_form_gcd_cancels_a_common_factor(p, q, g, opaque):
+    """p*g/(q*g) prints as p/q with a monic denominator, in t and in
+    @eta(t), and the gcd of p*g and q*g is monic and divisible by g."""
+    leaf = Expr.opaque(_eta_chain(), "t") if opaque else t
+    p, q, g = (_univariate(c, leaf) for c in (p, q, g))
+    assume(q.num and g.num)
+    e = (p * g) / (q * g)
+    assert str(e) == str(p / q)
+    top = max(e.den, key=lambda m: sum(exp for _, exp in m))
+    assert e.den[top] == 1
+    if p.num:
+        gcd = _p_gcd((p * g).num, (q * g).num)
+        top = max(gcd, key=lambda m: sum(exp for _, exp in m))
+        assert gcd[top] == 1
+        assert not _p_divmod(gcd, g.num)[1]
 
 
 @st.composite
