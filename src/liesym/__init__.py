@@ -38,7 +38,6 @@ from .expr import (
 )
 from .vectorfield import (
     VectorField,
-    autonomize,
     jet_var,
     lie_bracket,
     prolong_first,

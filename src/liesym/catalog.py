@@ -17,7 +17,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .errors import BadParams, UnknownName
 from .expr import Expr, ZeroStatus, parse
-from .fixtures import airy_profile_pair, bessel_profile_pair, opaque_chain
+from .fixtures import (_parse_profile, airy_profile_pair,
+                       bessel_profile_pair, opaque_chain)
 from .liealg import LieAlgebraBasis, StructureTensor
 from .liesys import LieSystem, SymmetryCandidate
 from .pdesys import PDELieSystem, PDESymmetryCandidate
@@ -115,7 +116,7 @@ def _time_profile(value, fallback: str, time: str = "t") -> Expr:
     if value is None:
         return opaque_chain(fallback, time, depth=3)
     if isinstance(value, str):
-        return parse(value, [time])
+        return _parse_profile(value, [time])
     return Expr._coerce(value)
 
 
@@ -327,7 +328,7 @@ def _make_kummer_schwarz(c0=1, eta=None, gauge_b0=0) -> CatalogEntry:
 def _make_buchdahl(a2=None, fprofile=None, gauge_b0=0) -> CatalogEntry:
     c = ("x", "v")
     f_of_x = (opaque_chain("fB", "x", depth=2) if fprofile is None
-              else (parse(fprofile, c) if isinstance(fprofile, str)
+              else (_parse_profile(fprofile, c) if isinstance(fprofile, str)
                     else Expr._coerce(fprofile)))
     x1 = VectorField(c, [Expr.var("v"), f_of_x * Expr.var("v") ** 2])
     x2 = VectorField(c, [Expr.zero(), -Expr.var("v")])
@@ -391,8 +392,8 @@ def _make_partial_riccati(coeffs=None, times=("t1", "t2")) -> CatalogEntry:
                  "direction; exact by antisymmetry"),)
     else:
         rows = tuple(
-            tuple(parse(e, times) if isinstance(e, str) else Expr._coerce(e)
-                  for e in row)
+            tuple(_parse_profile(e, times) if isinstance(e, str)
+                  else Expr._coerce(e) for e in row)
             for row in coeffs)
         if len(rows) != 3:
             raise BadParams("partial_riccati takes three coefficient rows")

@@ -4,8 +4,9 @@ Subcommands: list, show, check-algebra, symmetrize, verify, integrate,
 pde.  Exit codes: 0 success, 1 failed check (algebra not closed,
 residual above tolerance, non-integrable coefficients), 2 unreadable
 input, 3 pole encountered, 64 usage error (also a run that needs the
-value of a profile left opaque).  With a fixed seed (flag or
-LIESYM_SEED) every run is byte-for-byte reproducible.
+value of a profile left opaque, or a derivative past the end of its
+chain).  With a fixed seed (flag or LIESYM_SEED) every run is
+byte-for-byte reproducible.
 
 Input files are JSON.  A system document has "vars", "basis" (one list
 of component expressions per field), "coeffs" and optional "gauge_b0"
@@ -25,7 +26,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -36,15 +36,18 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     LiesymError,
+    MissingDerivative,
     NotClosed,
     NotIntegrable,
+    OpaqueNoDerivative,
     OpaqueNoEvaluator,
     ParseError,
     PoleEncountered,
     UnboundSymbol,
     UnknownName,
 )
-from .expr import OpaqueFunction, parse
+from .expr import parse
+from .fixtures import _opaque_registry, _parse_profile
 from .liealg import LieAlgebraBasis, center, jacobi_residual
 from .liesys import (
     LieSystem,
@@ -86,23 +89,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # -- input documents ------------------------------------------------------------
 
-_OPAQUE_NAME = re.compile(r"@([A-Za-z_][A-Za-z_0-9]*)")
-
-
-def _opaque_registry(texts: Sequence[str]):
-    """Each @name in the texts, with a formal derivative chain of depth 3."""
-    found = set()
-    for s in texts:
-        found.update(_OPAQUE_NAME.findall(s))
-    registry = {}
-    for name in sorted(found):
-        link = None
-        for k in range(3, -1, -1):
-            link = OpaqueFunction(name + "'" * k, derivative=link)
-        registry[name] = link
-    return registry
-
-
 def _load_doc(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -132,7 +118,8 @@ def _string(value, key: str) -> str:
 
 def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
     try:
-        coords = tuple(str(v) for v in _array(doc["vars"], "vars"))
+        coords = tuple(_string(v, "each vars entry")
+                       for v in _array(doc["vars"], "vars"))
         basis_rows = [_array(row, "each basis row")
                       for row in _array(doc["basis"], "basis")]
         coeff_rows = _array(doc["coeffs"], "coeffs")
@@ -142,7 +129,8 @@ def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
             for row in basis_rows)
         algebra = LieAlgebraBasis(fields)
         if "times" in doc:
-            times = tuple(str(v) for v in _array(doc["times"], "times"))
+            times = tuple(_string(v, "each times entry")
+                          for v in _array(doc["times"], "times"))
             coeff_rows = [_array(row, "each coeffs row") for row in coeff_rows]
             flat = [str(e) for row in coeff_rows for e in row]
             registry = _opaque_registry(flat)
@@ -175,8 +163,8 @@ def _candidate_from_doc(doc: dict, pde: bool):
     try:
         rows = [str(e) for e in _array(doc["f"], "f")]
         if pde:
-            times = _array(doc.get("times", ["t1", "t2"]), "times")
-            times = tuple(str(v) for v in times)
+            times = tuple(_string(v, "each times entry") for v in
+                          _array(doc.get("times", ["t1", "t2"]), "times"))
             registry = _opaque_registry(rows)
             return PDESymmetryCandidate.closed(
                 [parse(e, times, registry=registry) for e in rows], times)
@@ -301,8 +289,7 @@ def _cmd_symmetrize(args: argparse.Namespace, stdout) -> int:
     if isinstance(sysobj, PDELieSystem):
         raise UsageError("multi-time systems go through the pde subcommand")
     if args.b0 is not None:
-        gauge = parse(args.b0, [sysobj.time],
-                      registry=_opaque_registry([args.b0]))
+        gauge = _parse_profile(args.b0, [sysobj.time])
         sysobj = dataclasses.replace(sysobj, gauge=gauge)
     f_init = args.f_init if args.f_init is not None else (0.0,) * (sysobj.r + 1)
     if len(f_init) != sysobj.r + 1:
@@ -584,7 +571,8 @@ def main(argv: Optional[Sequence[str]] = None, stdout=None) -> int:
                 raise UsageError("LIESYM_SEED must be a non-negative integer")
         return _COMMANDS[args.subcommand](args, stdout)
     except (UsageError, UnknownName, BadParams, OpaqueNoEvaluator,
-            UnboundSymbol, DimensionMismatch) as exc:
+            OpaqueNoDerivative, MissingDerivative, UnboundSymbol,
+            DimensionMismatch) as exc:
         print(f"liesym: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -12,11 +12,12 @@ come from scipy.special when numbers are needed.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import BadParams, FixtureMissing
-from .expr import Expr, OpaqueFunction
+from .expr import Expr, OpaqueFunction, parse
 
 __all__ = [
     "airy_profile_pair",
@@ -49,11 +50,30 @@ def opaque_chain(name: str, var: str = "t", depth: int = 3,
     if evaluators is not None and len(evaluators) != depth + 1:
         raise BadParams(
             f"need {depth + 1} evaluators for a chain of depth {depth}")
+    return Expr.opaque(_chain(name, depth, evaluators), var)
+
+
+def _chain(name: str, depth: int, evaluators=None) -> OpaqueFunction:
+    """The head of opaque_chain's derivative chain, built deepest first."""
     link = None
     for k in range(depth, -1, -1):
         ev = evaluators[k] if evaluators is not None else None
         link = OpaqueFunction(name + "'" * k, evaluator=ev, derivative=link)
-    return Expr.opaque(link, var)
+    return link
+
+
+_OPAQUE_NAME = re.compile(r"@([A-Za-z_][A-Za-z_0-9]*)")
+
+
+def _opaque_registry(texts: Sequence[str]) -> Dict[str, OpaqueFunction]:
+    """Each @name in the texts as a formal depth-3 chain with no evaluator."""
+    found = {name for text in texts for name in _OPAQUE_NAME.findall(text)}
+    return {name: _chain(name, 3) for name in sorted(found)}
+
+
+def _parse_profile(text: str, variables: Sequence[str]) -> Expr:
+    """text with each @name(v) in it an opaque profile, as documents read it."""
+    return parse(text, variables, registry=_opaque_registry([text]))
 
 
 def _positive_float(value, what: str) -> float:

@@ -3,9 +3,9 @@
 A Lie system is a time-dependent vector field X(t,x) = sum_a b_a(t) X_a
 whose X_a span a finite-dimensional Lie algebra.  For every choice of a
 gauge function b0(t), the time-dependent symmetries of the form
-Y = f0(t) d/dt + sum_a f_a(t) X_a, with [Y, Xbar] = -b0 Xbar for the
-autonomized field Xbar = d/dt + X, are exactly the solutions of another
-Lie system on the coefficient space (f0, f1, ..., fr):
+Y = f0(t) d/dt + sum_a f_a(t) X_a, with [Y, Xbar] = -b0 Xbar for
+Xbar = d/dt + X, are exactly the solutions of another Lie system on the
+coefficient space (f0, f1, ..., fr):
 
     df0/dt = b0
     dfa/dt = f0 b_a' + b_a b0 + sum_{b,g} b_b f_g c_{gba}
@@ -19,8 +19,11 @@ build_symmetry_system constructs that system from the structure tensor,
 and derives the structure tensor of its own basis from the source one
 rather than extracting it again; symmetry_residual re-checks any
 candidate through honest vector-field brackets that never touch the
-builder's formula.  Sampled checks draw their states with the standard
-library's random.Random: a seed gives the same points on every run.
+builder's formula.  They stay on state space: with b0 = f0' the d/dt
+component of [Y, Xbar] + b0 Xbar is -f0' + f0' = 0, which leaves
+f0 dX/dt + f0' X - (dY_v/dt + [X, Y_v]), Y_v = sum_a f_a X_a.  Sampled
+checks draw their states with random.Random: a seed gives the same
+points on every run.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import (
 from .expr import Expr, ZeroStatus, compile_numeric
 from .integrate import Trajectory, _check_span, cumulative_simpson, rk4_solve
 from .liealg import LieAlgebraBasis, StructureTensor, center
-from .vectorfield import VectorField, autonomize, lie_bracket
+from .vectorfield import VectorField, lie_bracket
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,6 @@ class LieSystem(_SystemCore):
     def drift_field(self) -> VectorField:
         """The field sum_a b_a(t) X_a on state space, time as a parameter."""
         return self.algebra.combination(self.coeffs)
-
-    def autonomized(self) -> VectorField:
-        """Xbar = d/dt + X(t, x) over (t, x)."""
-        return autonomize(self.drift_field(), self.time)
 
     def rhs(self) -> Callable[[float, List[float]], list]:
         kernel = compile_numeric(self.drift_field().components,
@@ -360,6 +359,8 @@ class SymmetryCandidate(_CandidateCore):
         return SymmetryCandidate(time=time, grid=grid, values=values,
                                  dvalues=dvalues)
 
+    times = property(lambda self: (self.time,))
+
     @property
     def r(self) -> int:
         if self.is_closed_form:
@@ -451,9 +452,12 @@ def _sample_states(box: Sequence[Tuple[float, float]], nx: int,
     return [list(pt) for pt in zip(*cols)]
 
 
-def _check_channels(candidate: SymmetryCandidate, r: int) -> None:
-    """DimensionMismatch unless the candidate has r coefficient functions
-    (f1..fr, after f0 on a single-time candidate)."""
+def _check_candidate(candidate, times: Tuple[str, ...], r: int) -> None:
+    """DimensionMismatch unless the candidate is in the system's time symbols
+    (another would read as a constant) and has r functions f1..fr."""
+    if candidate.times != times:
+        raise DimensionMismatch(
+            f"candidate over times {candidate.times}, system has {times}")
     if candidate.r != r:
         raise DimensionMismatch(
             f"candidate has {candidate.r} coefficient functions, the algebra "
@@ -509,34 +513,42 @@ def _bracket_residual(fields: Sequence[VectorField],
     return worst
 
 
+def _suspended_bracket(x: VectorField, y: VectorField, time: str) -> List[Expr]:
+    """dY/dt + [X, Y], the state part of [d/dt + X, Y] for a Y with no d/dt
+    component; the d/dt part, (d/dt + X)(0) - Y(1), is 0.  Sums run in the
+    order of the bracket on (t, x), so the floats are that bracket's."""
+    return [sum((c * yc.diff(v) for v, c in zip(x.vars, x.components)),
+                yc.diff(time)) - y.apply(xc)
+            for xc, yc in zip(x.components, y.components)]
+
+
 def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
                       t_span: Tuple[float, float] = (0.0, 1.0),
                       nt: int = 20, nx: int = 20,
                       seed: int = 0, check_gauge: bool = True) -> ResidualReport:
     """Residual of [Y, Xbar] + f0' Xbar, an oracle independent of the builder.
 
-    The multiplier is the candidate's own f0' (forced by the t-component
-    of the bracket); with check_gauge the report also includes the
-    mismatch between f0' and the system's declared gauge.  For
-    closed-form candidates the combination is computed as an honest
-    vector-field bracket on (t, x) and tested for structural zero; exact
+    The multiplier is the candidate's own f0', which makes the d/dt
+    component -f0' + f0' vanish; with check_gauge the report also
+    includes the mismatch between f0' and the system's declared gauge.
+    For closed-form candidates the state components,
+    f0 dX/dt + f0' X - (dY_v/dt + [X, Y_v]), are built from honest
+    brackets on state space and tested for structural zero; exact
     cancellation reports (0.0, exact=True).  Otherwise the same quantity
     is evaluated numerically on a (t, x) sample grid, with the bracket
     part assembled from precomputed pairwise brackets [X_a, X_b] rather
     than from structure constants.  A non-finite residual reports inf.
     """
     r = sys.r
-    _check_channels(candidate, r)
     t = sys.time
+    _check_candidate(candidate, (t,), r)
 
     if candidate.is_closed_form:
-        f0 = candidate.f_exprs[0]
-        b0 = candidate.gauge_expr()
-        xbar = sys.autonomized()
-        y = VectorField(xbar.vars, (f0,) + sys.algebra.combination(
-            candidate.f_exprs[1:]).components)
-        resid = lie_bracket(y, xbar) + b0 * xbar
-        statuses = {c.is_zero() for c in resid.components}
+        f0, b0 = candidate.f_exprs[0], candidate.gauge_expr()
+        x = sys.drift_field()
+        y = sys.algebra.combination(candidate.f_exprs[1:])
+        statuses = {(f0 * xc.diff(t) + b0 * xc - h).is_zero() for xc, h
+                    in zip(x.components, _suspended_bracket(x, y, t))}
         if check_gauge:
             statuses.add((sys.gauge - b0).is_zero())
         if statuses <= {ZeroStatus.ZERO}:
@@ -602,7 +614,7 @@ def flow_transport_check(candidate: SymmetryCandidate, sys: LieSystem,
     """
     if not 0 < eps < math.inf:
         raise BadParams(f"eps must be finite and positive, got {eps}")
-    _check_channels(candidate, sys.r)
+    _check_candidate(candidate, (sys.time,), sys.r)
     moves = _transport_moves(candidate, sys, traj)
     defect_eps = _transport_defect(moves, sys, eps)
     defect_half = _transport_defect(moves, sys, eps / 2)
@@ -693,8 +705,8 @@ def candidate_bracket(y1: SymmetryCandidate, y2: SymmetryCandidate,
     MissingDerivative.
     """
     t = y1.time
-    _check_channels(y1, tensor.r)
-    _check_channels(y2, tensor.r)
+    for y in (y1, y2):
+        _check_candidate(y, (t,), tensor.r)
     if not (y1.is_closed_form and y2.is_closed_form):
         raise MissingDerivative(
             "the bracket of a sampled candidate needs second derivatives")

@@ -27,8 +27,10 @@ derived from the source's, and whose own curvature it re-checks rather
 than assumes.  pde_symmetry_residual verifies candidates through two
 independent routes: the direct brackets [d/dt_l + X_l, Y], and the
 first jet prolongation of Y applied to the defining equations
-restricted to their zero set.  The two routes agree identically; the
-report carries both so the agreement stays observable.
+restricted to their zero set.  Y has no d/dt components and those of
+d/dt_l + X_l are constant, so the bracket's d/dt components vanish and
+it is the state-space field dY/dt_l + [X_l, Y].  The two routes agree
+identically; the report carries both so the agreement stays observable.
 """
 
 from __future__ import annotations
@@ -54,17 +56,18 @@ from .liesys import (
     _CandidateCore,
     _SystemCore,
     _bracket_residual,
-    _check_channels,
+    _check_candidate,
     _fold_coefficients,
     _fold_generators,
     _magnitude,
     _pair_weights,
     _sample_states,
+    _suspended_bracket,
     _symmetry_tensor,
     _thin,
     _y_generators,
 )
-from .vectorfield import VectorField, jet_var, lie_bracket, prolong_first
+from .vectorfield import VectorField, jet_var, prolong_first
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -101,14 +104,6 @@ class PDELieSystem(_SystemCore):
     def drift_field(self, l: int) -> VectorField:
         """sum_a coeffs[a][l] X_a on state space, times as parameters."""
         return self.algebra.combination([row[l] for row in self.coeffs])
-
-    def suspension(self, l: int) -> VectorField:
-        """d/dt_l + X_l over the joint coordinates (times, x)."""
-        head = [Expr.zero()] * self.s
-        head[l] = Expr.one()
-        drift = self.drift_field(l)
-        return VectorField(self.times + self.vars,
-                           tuple(head) + drift.components)
 
 
 def time_grid(sys: PDELieSystem) -> np.ndarray:
@@ -418,18 +413,11 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
 
 def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
                      nx: int, seed: int) -> ResidualReport:
-    joint = sys.times + sys.vars
-    y_joint = VectorField(joint, (Expr.zero(),) * sys.s + tuple(eta))
-    # the time components of each bracket vanish identically (Y has none
-    # and the suspension's are constant), so only state components count
-    bracket_comps: List[Expr] = []
-    for l in range(sys.s):
-        br = lie_bracket(sys.suspension(l), y_joint)
-        bracket_comps.extend(br.components[sys.s:])
-
-    y_vert = VectorField(sys.vars, eta)
-    jet = prolong_first(y_vert, sys.times)
+    y = VectorField(sys.vars, eta)
     drifts = [sys.drift_field(l) for l in range(sys.s)]
+    bracket_comps = [c for tv, drift in zip(sys.times, drifts)
+                     for c in _suspended_bracket(drift, y, tv)]
+    jet = prolong_first(y, sys.times)
     onshell = {jet_var(xv, tv): drifts[q].component(xv)
                for xv in sys.vars for q, tv in enumerate(sys.times)}
     jet_comps: List[Expr] = []
@@ -446,7 +434,7 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
 
     pts = time_grid(sys)
     xs = _sample_states(sys.default_box(), nx, seed)
-    kernel = compile_numeric(bracket_comps + jet_comps, joint)
+    kernel = compile_numeric(bracket_comps + jet_comps, sys.times + sys.vars)
     m = len(bracket_comps)
     worst = 0.0
     jet_worst = 0.0
@@ -486,6 +474,8 @@ def pde_symmetry_residual(candidate: PDESymmetryCandidate | VectorField,
                           seed: int = 0) -> ResidualReport:
     """Residual of [d/dt_l + X_l, Y] over all directions, worst entry.
 
+    Y is vertical and d/dt_l + X_l has constant d/dt components, so those
+    of the bracket vanish and only its state part dY/dt_l + [X_l, Y] counts.
     Closed-form candidates (PDESymmetryCandidate.closed, or a VectorField
     on the state coordinates alone, for fields outside the span) are
     checked symbolically first and cross-checked against the jet oracle
@@ -495,11 +485,7 @@ def pde_symmetry_residual(candidate: PDESymmetryCandidate | VectorField,
     inf, and a sampled check over no points raises GridEmpty.
     """
     if isinstance(candidate, PDESymmetryCandidate):
-        if candidate.times != sys.times:
-            raise DimensionMismatch(
-                f"candidate over times {candidate.times}, system has "
-                f"{sys.times}")
-        _check_channels(candidate, sys.r)
+        _check_candidate(candidate, sys.times, sys.r)
         if not candidate.is_closed_form:
             return _sampled_residual(candidate, sys, nt, nx, seed)
         eta = sys.algebra.combination(candidate.f_exprs).components

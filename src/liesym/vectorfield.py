@@ -3,8 +3,8 @@
 A VectorField is a coordinate tuple plus one Expr component per
 coordinate.  Components may mention extra symbols (time, parameters);
 the Lie bracket differentiates only along the declared coordinates, so a
-field over (x, v) treats t as a parameter while the autonomized field
-over (t, x, v) differentiates through t as well.
+field over (x, v) treats t as a parameter while a field over (t, x, v)
+differentiates through t as well.
 """
 
 from __future__ import annotations
@@ -92,14 +92,6 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     comps = [a.apply(bc) - b.apply(ac)
              for ac, bc in zip(a.components, b.components)]
     return VectorField(a.vars, comps)
-
-
-def autonomize(field: VectorField, timevar: str = "t") -> VectorField:
-    """Prepend d/dt with unit coefficient: the suspension over time."""
-    if timevar in field.vars:
-        raise DimensionMismatch(
-            f"{timevar} is already a coordinate of the field")
-    return VectorField((timevar,) + field.vars, (Expr.one(),) + field.components)
 
 
 def jet_var(xvar: str, timevar: str) -> str:

@@ -232,6 +232,28 @@ def test_verify_candidate_of_the_wrong_size_is_usage(tmp_path, capsys, f):
     assert "coefficient functions, the algebra has 3" in err
 
 
+def test_verify_candidate_in_another_time_symbol_is_usage(tmp_path, capsys):
+    # its s read as a constant, so this non-symmetry passed exactly
+    f = [0] * 6 + ["s", 0, 0]
+    cand = write_json(tmp_path / "c.json", {"time": "s", "f": f})
+    code, out = run_cli("verify", "--catalog", "painleve_ince",
+                        "--candidate", cand)
+    assert code == EXIT_USAGE, out
+    assert capsys.readouterr().err == (
+        "liesym: error: candidate over times ('s',), system has ('t',)\n")
+    f[6] = "t"
+    cand = write_json(tmp_path / "c.json", {"time": "t", "f": f})
+    code, out = run_cli("verify", "--catalog", "painleve_ince",
+                        "--candidate", cand)
+    assert code == EXIT_CHECK and out.endswith(": FAIL\n"), out
+
+
+def test_param_profile_reads_opaque_names_as_documents_do():
+    code, out = run_cli("show", "riccati", "--param", "eta=@eta(t)")
+    assert code == EXIT_OK
+    assert out == run_cli("show", "riccati")[1]
+
+
 def test_unknown_catalog_parameter_is_usage(capsys):
     code, _ = run_cli("check-algebra", "--catalog", "painleve_ince",
                       "--param", "foo=1")
@@ -499,6 +521,10 @@ def test_candidate_document_needs_arrays(tmp_path, capsys, key, cmd, doc):
     ("name", ("check-algebra", "--input"), dict(SYSTEM, name=5)),
     ("time", ("verify", "--catalog", "riccati", "--param", "eta=t",
               "--candidate"), {"time": 7, "f": ["1", "0", "0", "0"]}),
+    ("each vars entry", ("check-algebra", "--input"), dict(SYSTEM, vars=[7])),
+    ("each times entry", ("pde", "--input"), dict(MULTI, times=[5, 6])),
+    ("each times entry", ("verify", "--catalog", "partial_riccati",
+                          "--candidate"), {"times": [5, 6], "f": [1, 0, 0]}),
 ])
 def test_documents_need_string_names(tmp_path, monkeypatch, capsys, key, argv,
                                      doc):
@@ -508,6 +534,26 @@ def test_documents_need_string_names(tmp_path, monkeypatch, capsys, key, argv,
     assert code == EXIT_PARSE
     assert err.startswith(f"liesym: error: {key} must be a JSON string"), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+
+# a derivative past the end of a formal @name chain is a usage error, as a
+# value of an opaque profile is, and not a traceback
+@pytest.mark.parametrize("argv, doc", [
+    (("verify", "--catalog", "dbh", "--candidate"),
+     {"time": "t", "f": ["@g'''(t)", "0", "0", "0"]}),
+    (("symmetrize", "--input"), dict(SYSTEM, coeffs=["@e'''(t)", "0", "1"])),
+    (("pde", "--input"),
+     dict(MULTI, times=["t1", "t2"],
+          coeffs=[["@e'''(t2)", "1"], ["0", "0"], ["0", "0"]])),
+], ids=["verify", "symmetrize", "pde"])
+def test_missing_opaque_derivative_is_usage(tmp_path, monkeypatch, capsys,
+                                            argv, doc):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(*argv, write_json(tmp_path / "doc.json", doc))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("liesym: error: ") and err.count("\n") == 1, err
+    assert "has no derivative leaf" in err
 
 
 def test_main_builds_its_parser_once(monkeypatch):

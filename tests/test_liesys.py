@@ -3,10 +3,13 @@ sides, closed-form symmetry families, and the bracket oracles."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesym import make, names
 from liesym.errors import (
@@ -32,6 +35,7 @@ from liesym.liesys import (
     _fold_coefficients,
     _fold_generators,
     _sample_states,
+    _suspended_bracket,
     aff_closed_form,
     build_symmetry_system,
     candidate_bracket,
@@ -636,6 +640,22 @@ def test_flow_transport_compiles_each_kernel_once(monkeypatch):
     assert len(calls) == 2 * r + 2
 
 
+def test_candidates_in_another_time_symbol_are_refused():
+    # the closed check read the s of a candidate in s as a constant, so
+    # this non-symmetry (it FAILs when written in t) passed exactly
+    sys = make("painleve_ince").system
+    cand = SymmetryCandidate.closed([0] * 6 + [Expr.var("s"), 0, 0], time="s")
+    other = re.escape("candidate over times ('s',), system has ('t',)")
+    with pytest.raises(DimensionMismatch, match=other):
+        symmetry_residual(cand, sys)
+    traj = integrate(sys, [0.1, 0.2], (0.0, 0.1), 1e-2)
+    with pytest.raises(DimensionMismatch, match=other):
+        flow_transport_check(cand, sys, traj)
+    zero = SymmetryCandidate.closed([0] * 9)
+    with pytest.raises(DimensionMismatch, match=other):
+        candidate_bracket(zero, cand, sys.algebra.tensor)
+
+
 @pytest.mark.parametrize("channels", [(1, 0, 0, 0, 5), (1, 0, 0)])
 def test_flow_transport_rejects_candidate_of_wrong_shape(channels):
     # unchecked, five channels on dbh read as exact and three raise IndexError
@@ -916,3 +936,71 @@ def test_overflowing_power_reads_as_pole():
     with pytest.raises(PoleEncountered) as info:
         integrate(sys, [100.0], (0.0, 1.0), 1e-3)
     assert info.value.t == 0.0
+
+
+# -- the state-space bracket against the joint bracket on (times, x) ------------
+
+
+def _joint_bracket(x, y, times, l):
+    """[d/dt_l + X, Y] on (times, x), Y with zero time components."""
+    head = [Expr.zero()] * len(times)
+    suspension = VectorField(tuple(times) + x.vars,
+                             head[:l] + [Expr.one()] + head[l + 1:]
+                             + list(x.components))
+    return lie_bracket(suspension,
+                       VectorField(suspension.vars, head + list(y.components)))
+
+
+_FLAT_U = "(t1 + 2*t2)"
+_JOINT_SYSTEMS = {
+    "riccati": lambda: make("riccati", eta="t").system,
+    "dbh": lambda: make("dbh").system,
+    "kummer_schwarz": lambda: make("kummer_schwarz", eta="t").system,
+    "painleve_ince": lambda: make("painleve_ince").system,
+    # time-dependent and flat: proportional columns in one profile of u
+    "partial_riccati": lambda: make("partial_riccati", coeffs=[
+        [_FLAT_U, f"2*{_FLAT_U}"], ["1/4", "1/2"],
+        [f"-{_FLAT_U}^2/3", f"-2*{_FLAT_U}^2/3"]]).system,
+}
+
+
+@st.composite
+def _joint_case(draw):
+    """A system and r + 1 entries: polynomials of degree <= 2 in its time
+    symbols, one of them maybe over a polynomial positive on [0, 1]."""
+    sys = _JOINT_SYSTEMS[draw(st.sampled_from(sorted(_JOINT_SYSTEMS)))]()
+    times = getattr(sys, "times", None) or (sys.time,)
+    ts = [Expr.var(t) for t in times]
+    monos = [Expr.one()] + ts + [ts[0] * t for t in ts]
+    f = [sum((draw(st.integers(-2, 2)) * m for m in monos), Expr.zero())
+         for _ in range(sys.r + 1)]
+    k = draw(st.integers(-1, sys.r))
+    if k >= 0:
+        f[k] = f[k] / (1 + ts[0] * ts[0] + draw(st.integers(0, 2)) * ts[-1])
+    return sys, times, f
+
+
+@settings(max_examples=20, deadline=None)
+@given(_joint_case())
+def test_state_space_bracket_equals_the_joint_bracket(case):
+    sys, times, f = case
+    y = sys.algebra.combination(f[1:])
+    drifts = ([sys.drift_field(l) for l in range(sys.s)]
+              if isinstance(sys, PDELieSystem) else [sys.drift_field()])
+    for l, (tv, x) in enumerate(zip(times, drifts)):
+        joint = _joint_bracket(x, y, times, l)
+        assert all(c == 0 for c in joint.components[:len(times)])
+        assert _suspended_bracket(x, y, tv) == list(
+            joint.components[len(times):])
+    if isinstance(sys, PDELieSystem):
+        return
+    # Y = f0 (d/dt + X) is a symmetry for every f0, with b0 = f0': the
+    # joint bracket says so, and so must the state-space check
+    f0 = f[0]
+    x = drifts[0]
+    sym = SymmetryCandidate.closed([f0] + [f0 * b for b in sys.coeffs])
+    yj = VectorField(("t",) + x.vars, [f0] + [f0 * c for c in x.components])
+    xbar = VectorField(yj.vars, [Expr.one()] + list(x.components))
+    assert ((lie_bracket(yj, xbar) + f0.diff("t") * xbar).is_zero()
+            is ZeroStatus.ZERO)
+    assert symmetry_residual(sym, sys, check_gauge=False).exact

@@ -1,4 +1,4 @@
-"""Vector fields, brackets, autonomization, jet prolongation."""
+"""Vector fields, brackets, jet prolongation."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,6 @@ from liesym import DimensionMismatch, Expr, NotVertical, ZeroStatus
 from liesym.rlinalg import invert, nullspace, rank, rref, solve
 from liesym.vectorfield import (
     VectorField,
-    autonomize,
     jet_var,
     lie_bracket,
     prolong_first,
@@ -70,16 +69,6 @@ def test_dimension_mismatch():
         lie_bracket(a, b)
     with pytest.raises(DimensionMismatch):
         VectorField(["x"], [x, v])
-
-
-def test_autonomize():
-    drift = VectorField(["x"], [1 + x ** 2])
-    bar = autonomize(drift, "t")
-    assert bar.vars == ("t", "x")
-    assert bar.components[0] == Expr.one()
-    assert bar.components[1] == 1 + x ** 2
-    with pytest.raises(DimensionMismatch):
-        autonomize(bar, "t")
 
 
 def test_apply_directional_derivative():
