@@ -391,6 +391,9 @@ def _make_partial_riccati(coeffs=None, times=("t1", "t2")) -> CatalogEntry:
             note="constant candidate along the common coefficient "
                  "direction; exact by antisymmetry"),)
     else:
+        if isinstance(coeffs, str) or any(isinstance(row, str) for row in coeffs):
+            raise BadParams("partial_riccati coeffs must be rows of coefficients, "
+                            f"not strings: {coeffs!r}")
         rows = tuple(
             tuple(_parse_profile(e, times) if isinstance(e, str)
                   else Expr._coerce(e) for e in row)

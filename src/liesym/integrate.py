@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .errors import (BadParams, DimensionMismatch, PoleEncountered,
                      QuadratureDiverged, StepNotPositive)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POLE_LIMIT = 1e12
 
@@ -95,6 +96,7 @@ def rk4_solve(rhs: Callable[[float, List[float]], Sequence[float]],
     the state leaves [-POLE_LIMIT, POLE_LIMIT] or hits the excluded set.
     A non-finite t_span, y0 or step raises BadParams.  States keep y0's order.
     """
+    import numpy as np
     t0, t1 = _check_span(t_span, step)
     y0_arr = np.asarray(y0, dtype=float).reshape(-1)
     if not np.all(np.isfinite(y0_arr)):
@@ -154,6 +156,7 @@ def cumulative_simpson(values: np.ndarray, step: float) -> np.ndarray:
     Matches composite Simpson on even indices; odd indices use the
     quadratic through the three nearest samples.
     """
+    import numpy as np
     v = np.asarray(values, dtype=float).tolist()
     m = len(v)
     if m < 2:

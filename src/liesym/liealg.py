@@ -21,8 +21,6 @@ import random
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import rlinalg
 from .errors import DependentBasis, NotClosed
 from .expr import Expr, OpaqueNoEvaluator, UnboundSymbol, compile_numeric
@@ -289,6 +287,7 @@ def _numeric_fallback(fields, bracket, a, b):
         for i in range(n):
             rows.append([vals[g * n + i] for g in range(r)])
             rhs.append(vals[r * n + i])
+    import numpy as np
     mat = np.array(rows)
     vec = np.array(rhs)
     sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)

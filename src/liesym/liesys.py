@@ -33,9 +33,7 @@ import random
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from . import rlinalg
 from .errors import (
@@ -50,6 +48,9 @@ from .expr import Expr, ZeroStatus, compile_numeric
 from .integrate import Trajectory, _check_span, cumulative_simpson, rk4_solve
 from .liealg import LieAlgebraBasis, StructureTensor, center
 from .vectorfield import VectorField, lie_bracket
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _y_generators(tensor: StructureTensor,
     lead = len(names) - r
     fs = [Expr.var(v) for v in names[lead:]]
     return [VectorField(names, [0] * lead + tensor.bracket(fs, unit))
-            for unit in np.eye(r, dtype=int).tolist()]
+            for unit in ([int(a == b) for b in range(r)] for a in range(r))]
 
 
 def _fold_coefficients(tensor: StructureTensor) -> List[Optional[List[Fraction]]]:
@@ -320,6 +321,7 @@ class _CandidateCore:
         if not all(present):
             raise DimensionMismatch(
                 f"sampled candidate needs {sampled[0]}, values and dvalues")
+        import numpy as np
         for name in sampled:
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
@@ -382,6 +384,7 @@ class SymmetryCandidate(_CandidateCore):
 
     def channels_at(self, ts: np.ndarray):
         """(values, dvalues) arrays at the given times."""
+        import numpy as np
         if self.is_closed_form:
             m = len(self.f_exprs)
             kernel = self._channel_kernel
@@ -402,6 +405,7 @@ def candidate_from_trajectory(built: SymmetrySystem,
     evaluated along the trajectory, which is the exact derivative of the
     flow the integrator approximates.
     """
+    import numpy as np
     rhs = built.system.rhs()
     dvals = np.array([rhs(t, y) for t, y in zip(traj.ts.tolist(),
                                                  traj.states.tolist())])
@@ -464,10 +468,10 @@ def _check_candidate(candidate, times: Tuple[str, ...], r: int) -> None:
             f"has {r}")
 
 
-def _thin(m: int, nt: int) -> np.ndarray:
+def _thin(m: int, nt: int) -> range:
     """Indices of every (m // nt)-th point of an m-point candidate grid."""
     _need_points(min(m, nt))
-    return np.arange(0, m, max(1, m // nt))
+    return range(0, m, max(1, m // nt))
 
 
 def _magnitude(v: float) -> float:
@@ -554,6 +558,7 @@ def symmetry_residual(candidate: SymmetryCandidate, sys: LieSystem,
         if statuses <= {ZeroStatus.ZERO}:
             return ResidualReport(0.0, exact=True)
 
+    import numpy as np
     xs = _sample_states(sys.default_box(), nx, seed)
     if candidate.is_closed_form:
         _need_points(nt)
@@ -638,6 +643,7 @@ def _transport_moves(candidate: SymmetryCandidate, sys: LieSystem,
     state part of the candidate and u' its derivative along the solution.
     Nothing here depends on eps, so both defects share one compilation.
     """
+    import numpy as np
     n = len(sys.vars)
     r = sys.r
     ts = traj.ts
@@ -669,6 +675,7 @@ def _transport_moves(candidate: SymmetryCandidate, sys: LieSystem,
 
 
 def _transport_defect(moves, sys: LieSystem, eps: float) -> float:
+    import numpy as np
     drift, rows = moves
     worst = 0.0
     for tk, s, f0v, df0v, sdot, u, du in rows:
@@ -751,6 +758,7 @@ def riccati_f3_ode_residual(f0: Expr, f3: Expr, eta: Expr, b0: Expr,
              + 2 * deta * f3 + 4 * eta * d(f3))
     if resid.is_zero() is ZeroStatus.ZERO:
         return ResidualReport(0.0, exact=True)
+    import numpy as np
     t_samples = np.linspace(0.1, 1.0, 19).tolist()
     kernel = compile_numeric([resid], [var])
     worst = max(_magnitude(kernel([tv])[0]) for tv in t_samples)
@@ -770,6 +778,7 @@ def aff_closed_form(a: Expr, b: Expr, k, c1, c2,
     Simpson rule on the returned grid.  step and t_span are checked as
     rk4_solve checks them.
     """
+    import numpy as np
     a, b = Expr._coerce(a), Expr._coerce(b)
     kf, c1f, c2f = float(k), float(c1), float(c2)
     t0, t1 = _check_span(t_span, step)
@@ -820,10 +829,11 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     (the isomorphism given by evaluation at the start time).  The check
     runs at 5 evenly spaced grid times, the ends included.
     """
+    import numpy as np
     tensor = sys.algebra.tensor
     r = sys.r
     t = sys.time
-    units = np.eye(r, dtype=int).tolist()
+    units = [[int(a == b) for b in range(r)] for a in range(r)]
     xs = _sample_states(sys.default_box(), nx, seed)
     b_kernel = compile_numeric(sys.coeffs, [t])
     bracket = tensor.float_bracket()

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import (
     BadParams,
@@ -68,6 +67,9 @@ from .liesys import (
     _y_generators,
 )
 from .vectorfield import VectorField, jet_var, prolong_first
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -108,6 +110,7 @@ class PDELieSystem(_SystemCore):
 
 def time_grid(sys: PDELieSystem) -> np.ndarray:
     """Dense lattice over the unit time box, shape (5**s, s)."""
+    import numpy as np
     axes = [np.linspace(0.0, 1.0, 5)] * sys.s
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -147,6 +150,7 @@ class TimePath:
 
     def point(self, u: float) -> np.ndarray:
         """Map the global parameter u in [0, nseg] to a time point."""
+        import numpy as np
         if not 0.0 <= u <= self.nseg + 1e-12:
             raise BadParams(f"path parameter {u} outside [0, {self.nseg}]")
         i = min(int(u), self.nseg - 1)
@@ -322,6 +326,7 @@ def integrate_along_path(sys: PDELieSystem, x0: Sequence[float],
     leg_rhs = _leg_rhs(compile_numeric([c for l in range(s)
                                         for c in sys.drift_field(l).components],
                                        sys.times + sys.vars), n, s)
+    import numpy as np
 
     ts_parts: List[np.ndarray] = []
     state_parts: List[np.ndarray] = []
@@ -397,6 +402,7 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
     evaluated along the trajectory, one per time direction, so the
     residual check stays independent of the integrator.
     """
+    import numpy as np
     sysf = built.system
     tpoints = np.vstack([path.point(u) for u in traj.ts])
     values = traj.states
@@ -452,6 +458,7 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
 
 def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
                       nt: int, nx: int, seed: int) -> ResidualReport:
+    import numpy as np
     r, s = sys.r, sys.s
     b_kernel = compile_numeric([c for row in sys.coeffs for c in row],
                                sys.times)

@@ -263,6 +263,15 @@ def test_unknown_catalog_parameter_is_usage(capsys):
         "it accepts none\n")
 
 
+@pytest.mark.parametrize("coeffs", ["123", "1,2,3"])
+def test_partial_riccati_string_coeffs_are_usage(capsys, coeffs):
+    code, out = run_cli("show", "partial_riccati", "--param", f"coeffs={coeffs}",
+                        "--param", "times=t1")
+    assert (code, out) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("liesym: error: partial_riccati")
+
+
 def test_verify_usage(tmp_path):
     assert run_cli("verify", "--catalog", "dbh")[0] == EXIT_USAGE
     assert run_cli("verify", "--catalog", "dbh",
