@@ -405,10 +405,8 @@ def candidate_from_trajectory(built: SymmetrySystem,
     evaluated along the trajectory, which is the exact derivative of the
     flow the integrator approximates.
     """
-    import numpy as np
     rhs = built.system.rhs()
-    dvals = np.array([rhs(t, y) for t, y in zip(traj.ts.tolist(),
-                                                 traj.states.tolist())])
+    dvals = [rhs(t, y) for t, y in zip(traj.ts.tolist(), traj.states.tolist())]
     return SymmetryCandidate.sampled(traj.ts, traj.states, dvals,
                                      time=built.system.time)
 
@@ -620,9 +618,10 @@ def flow_transport_check(candidate: SymmetryCandidate, sys: LieSystem,
     if not 0 < eps < math.inf:
         raise BadParams(f"eps must be finite and positive, got {eps}")
     _check_candidate(candidate, (sys.time,), sys.r)
-    moves = _transport_moves(candidate, sys, traj)
-    defect_eps = _transport_defect(moves, sys, eps)
-    defect_half = _transport_defect(moves, sys, eps / 2)
+    rows = _transport_moves(candidate, sys, traj)
+    rhs = sys.rhs()
+    defect_eps = _transport_defect(rows, rhs, sys.excluded, eps)
+    defect_half = _transport_defect(rows, rhs, sys.excluded, eps / 2)
     if defect_eps < 1e-13 and defect_half < 1e-13:
         return TransportReport(math.nan, defect_eps, defect_half, eps, "exact")
     ratio = defect_eps / defect_half if defect_half else math.inf
@@ -636,60 +635,56 @@ def flow_transport_check(candidate: SymmetryCandidate, sys: LieSystem,
 
 
 def _transport_moves(candidate: SymmetryCandidate, sys: LieSystem,
-                     traj: Trajectory):
-    """The drift kernels and, per trajectory point, what transport needs.
+                     traj: Trajectory) -> list:
+    """Per trajectory point, what transport needs, as float lists.
 
     Each row is (t, x, f0, f0', x', u, u'): u = sum_a f_a X_a(x) is the
-    state part of the candidate and u' its derivative along the solution.
-    Nothing here depends on eps, so both defects share one compilation.
+    state part of the candidate and u' = sum_a (f_a' X_a + f_a X(X_a)) its
+    derivative along the solution, X(X_a) being the drift X applied to
+    each component of X_a.  One kernel evaluates X, the X_a and the X(X_a);
+    nothing here depends on eps, so both defects share the rows.
     """
-    import numpy as np
-    n = len(sys.vars)
-    r = sys.r
-    ts = traj.ts
+    n, r = len(sys.vars), sys.r
+    drift = sys.drift_field()
+    comps = [c for f in sys.algebra.fields for c in f.components]
+    kernel = compile_numeric(list(drift.components) + comps
+                             + [drift.apply(c) for c in comps],
+                             (sys.time,) + sys.vars)
+    ts = traj.ts.tolist()
     vals, dvals = candidate.channels_at(ts)
-
-    drift = compile_numeric(sys.drift_field().components,
-                            (sys.time,) + sys.vars)
-    fields = sys.algebra.fields
-    basis = [compile_numeric(f.components, sys.vars) for f in fields]
-    jacobians = [compile_numeric([c.diff(v) for c in f.components
-                                  for v in sys.vars], sys.vars)
-                 for f in fields]
-
     rows = []
-    for k, tk in enumerate(ts):
-        s = traj.states[k]
-        s_list = s.tolist()
-        fv, dfv = vals[k][1:], dvals[k][1:]
-        sdot = np.array(drift([float(tk)] + s_list))
-        xa = [np.array(kernel(s_list)) for kernel in basis]
-        u = sum(fv[a] * xa[a] for a in range(r)) if r else np.zeros(n)
-        du = np.zeros(n)
-        for a in range(r):
-            du += dfv[a] * xa[a]
-            jac = np.array(jacobians[a](s_list)).reshape(n, n)
-            du += fv[a] * (jac @ sdot)
-        rows.append((tk, s, vals[k][0], dvals[k][0], sdot, u, du))
-    return drift, rows
+    for tk, s, fk, dfk in zip(ts, traj.states.tolist(), vals.tolist(),
+                              dvals.tolist()):
+        out = kernel([tk] + s)
+        xa, dxa = out[n:n + r * n], out[n + r * n:]
+        u, du = [], []
+        for i in range(n):
+            ui = dui = 0.0
+            for a in range(r):
+                ui += fk[a + 1] * xa[a * n + i]
+                dui += dfk[a + 1] * xa[a * n + i]
+                dui += fk[a + 1] * dxa[a * n + i]
+            u.append(ui)
+            du.append(dui)
+        rows.append((tk, s, fk[0], dfk[0], out[:n], u, du))
+    return rows
 
 
-def _transport_defect(moves, sys: LieSystem, eps: float) -> float:
-    import numpy as np
-    drift, rows = moves
+def _transport_defect(rows, rhs, excluded, eps: float) -> float:
+    """Largest |dz/dt - X(t, z)| over the points z = x + eps u transported
+    to the time t + eps f0, the transported curve's velocity being
+    (x' + eps u') / (1 + eps f0')."""
     worst = 0.0
     for tk, s, f0v, df0v, sdot, u, du in rows:
-        t_new = tk + eps * f0v
-        z_new = (s + eps * u).tolist()
-        dt_dt = 1.0 + eps * df0v
-        dz_dt = sdot + eps * du
+        z_new = [a + eps * b for a, b in zip(s, u)]
         if not all(map(math.isfinite, z_new)):
             raise TransportLeftDomain(f"transport left the domain at t={tk}")
-        if sys.excluded is not None and sys.excluded(z_new):
+        if excluded is not None and excluded(z_new):
             raise TransportLeftDomain(f"transport hit the excluded locus at t={tk}")
-        x_new = np.array(drift([float(t_new)] + z_new))
-        defect = np.max(np.abs(dz_dt / dt_dt - x_new))
-        worst = max(worst, _magnitude(float(defect)))
+        dt_dt = 1.0 + eps * df0v
+        x_new = rhs(tk + eps * f0v, z_new)
+        for a, b, c in zip(sdot, du, x_new):
+            worst = max(worst, _magnitude((a + eps * b) / dt_dt - c))
     return worst
 
 
@@ -829,7 +824,6 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
     (the isomorphism given by evaluation at the start time).  The check
     runs at 5 evenly spaced grid times, the ends included.
     """
-    import numpy as np
     tensor = sys.algebra.tensor
     r = sys.r
     t = sys.time
@@ -845,17 +839,20 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
 
     residual = _bracket_residual(sys.algebra.fields, xs)
     m = len(trajs[0].ts)
-    sample_idx = np.linspace(0, m - 1, 5).astype(int)
+    sample_idx = [k * (m - 1) // 4 for k in range(5)]
+    states = [traj.states.tolist() for traj in trajs]
 
     worst = 0.0
     for idx in sample_idx:
-        fvecs = np.array([traj.states[idx] for traj in trajs])
+        fvecs = [rows[idx] for rows in states]
         for i in range(r):
             for j in range(i + 1, r):
                 # [Y_i, Y_j] - sum_g c_ijg Y_g with Y_i = sum_a fvecs[i][a] X_a
-                lin = -np.array(tensor.bracket(units[i], units[j]),
-                                dtype=float) @ fvecs
-                weights = list(lin) + _pair_weights(fvecs[i], fvecs[j])
+                lin = [0.0] * r
+                for g, c in enumerate(tensor.bracket(units[i], units[j])):
+                    for a in range(r):
+                        lin[a] += -float(c) * fvecs[g][a]
+                weights = lin + _pair_weights(fvecs[i], fvecs[j])
                 worst = max(worst, residual(weights))
     return VerticalFamilyReport(worst,
                                 tuple(float(trajs[0].ts[i]) for i in sample_idx),

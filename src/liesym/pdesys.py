@@ -35,6 +35,7 @@ identically; the report carries both so the agreement stays observable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
@@ -109,11 +110,11 @@ class PDELieSystem(_SystemCore):
 
 
 def time_grid(sys: PDELieSystem) -> np.ndarray:
-    """Dense lattice over the unit time box, shape (5**s, s)."""
+    """Dense lattice over the unit time box, shape (5**s, s), the last
+    time varying fastest."""
     import numpy as np
-    axes = [np.linspace(0.0, 1.0, 5)] * sys.s
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.array(list(itertools.product(np.linspace(0.0, 1.0, 5).tolist(),
+                                           repeat=sys.s)))
 
 
 @dataclass(frozen=True)
@@ -148,16 +149,14 @@ class TimePath:
     def nseg(self) -> int:
         return len(self.waypoints) - 1
 
-    def point(self, u: float) -> np.ndarray:
+    def point(self, u: float) -> Tuple[float, ...]:
         """Map the global parameter u in [0, nseg] to a time point."""
-        import numpy as np
         if not 0.0 <= u <= self.nseg + 1e-12:
             raise BadParams(f"path parameter {u} outside [0, {self.nseg}]")
         i = min(int(u), self.nseg - 1)
         frac = u - i
-        w0 = np.asarray(self.waypoints[i], dtype=float)
-        w1 = np.asarray(self.waypoints[i + 1], dtype=float)
-        return w0 + frac * (w1 - w0)
+        return tuple(a + frac * (b - a) for a, b
+                     in zip(self.waypoints[i], self.waypoints[i + 1]))
 
 
 # -- zero-curvature check -----------------------------------------------------
@@ -402,18 +401,17 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
     evaluated along the trajectory, one per time direction, so the
     residual check stays independent of the integrator.
     """
-    import numpy as np
     sysf = built.system
-    tpoints = np.vstack([path.point(u) for u in traj.ts])
-    values = traj.states
+    n = len(sysf.vars)
+    tpoints = [path.point(u) for u in traj.ts.tolist()]
     drifts = compile_numeric([c for l in range(sysf.s)
                               for c in sysf.drift_field(l).components],
                              sysf.times + sysf.vars)
-    m, r = values.shape
-    dvalues = np.empty((m, r, sysf.s))
-    for k, args in enumerate(np.hstack([tpoints, values]).tolist()):
-        dvalues[k] = np.reshape(drifts(args), (sysf.s, r)).T
-    return PDESymmetryCandidate.sampled(tpoints, values, dvalues,
+    # drifts lists direction l's n components at l*n; dvalues[k][p][l]
+    dvalues = [[out[p::n] for p in range(n)]
+               for out in (drifts(list(tp) + y) for tp, y
+                           in zip(tpoints, traj.states.tolist()))]
+    return PDESymmetryCandidate.sampled(tpoints, traj.states, dvalues,
                                         times=sysf.times)
 
 
@@ -458,8 +456,7 @@ def _closed_residual(eta: Tuple[Expr, ...], sys: PDELieSystem,
 
 def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
                       nt: int, nx: int, seed: int) -> ResidualReport:
-    import numpy as np
-    r, s = sys.r, sys.s
+    s = sys.s
     b_kernel = compile_numeric([c for row in sys.coeffs for c in row],
                                sys.times)
     xs = _sample_states(sys.default_box(), nx, seed)
@@ -470,9 +467,9 @@ def _sampled_residual(cand: PDESymmetryCandidate, sys: PDELieSystem,
         tp = cand.tpoints[k].tolist()
         fv = cand.values[k].tolist()
         dv = cand.dvalues[k].T.tolist()
-        bv = np.reshape(b_kernel(tp), (r, s)).T.tolist()
+        bvals = b_kernel(tp)
         for l in range(s):
-            worst = max(worst, residual(dv[l] + _pair_weights(bv[l], fv)))
+            worst = max(worst, residual(dv[l] + _pair_weights(bvals[l::s], fv)))
     return ResidualReport(worst, exact=False, npoints=len(idx) * len(xs))
 
 

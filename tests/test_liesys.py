@@ -634,10 +634,10 @@ def test_flow_transport_compiles_each_kernel_once(monkeypatch):
     monkeypatch.setattr(liesym.liesys, "compile_numeric",
                         lambda es, order: calls.append(es) or real(es, order))
     flow_transport_check(cand, sys, traj)
-    r = sys.r
-    # drift, one basis and one Jacobian kernel per field, then the
-    # candidate values and derivatives together
-    assert len(calls) == 2 * r + 2
+    # the drift, the basis and the drift applied to the basis together,
+    # the candidate values and derivatives together, then the drift alone
+    # for the transported points
+    assert len(calls) == 3
 
 
 def test_candidates_in_another_time_symbol_are_refused():
