@@ -46,7 +46,7 @@ from .errors import (
     UnboundSymbol,
     UnknownName,
 )
-from .expr import parse
+from .expr import _is_name, parse
 from .fixtures import _opaque_registry, _parse_profile
 from .liealg import LieAlgebraBasis, center, jacobi_residual
 from .liesys import (
@@ -116,9 +116,25 @@ def _string(value, key: str) -> str:
     return value
 
 
+def _name(value, key: str) -> str:
+    """value if one identifier, else ParseError: a time or state name with
+    a comma or a space would break the CSV header."""
+    if not _is_name(_string(value, key)):
+        raise ParseError(f"{key} must be one identifier, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """value as a float if a JSON number, else ParseError (no string or
+    true read as a number)."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
     try:
-        coords = tuple(_string(v, "each vars entry")
+        coords = tuple(_name(v, "each vars entry")
                        for v in _array(doc["vars"], "vars"))
         basis_rows = [_array(row, "each basis row")
                       for row in _array(doc["basis"], "basis")]
@@ -129,7 +145,7 @@ def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
             for row in basis_rows)
         algebra = LieAlgebraBasis(fields)
         if "times" in doc:
-            times = tuple(_string(v, "each times entry")
+            times = tuple(_name(v, "each times entry")
                           for v in _array(doc["times"], "times"))
             coeff_rows = [_array(row, "each coeffs row") for row in coeff_rows]
             flat = [str(e) for row in coeff_rows for e in row]
@@ -138,7 +154,7 @@ def _system_from_doc(doc: dict) -> Union[LieSystem, PDELieSystem]:
                 tuple(parse(str(e), times, registry=registry) for e in row)
                 for row in coeff_rows)
             return PDELieSystem(algebra, coeffs=coeffs, times=times, name=name)
-        time = _string(doc.get("time", "t"), "time")
+        time = _name(doc.get("time", "t"), "time")
         texts = [str(e) for e in coeff_rows] + [str(doc.get("gauge_b0", "0"))]
         registry = _opaque_registry(texts)
         coeffs = tuple(parse(t_, [time], registry=registry) for t_ in texts[:-1])
@@ -163,12 +179,12 @@ def _candidate_from_doc(doc: dict, pde: bool):
     try:
         rows = [str(e) for e in _array(doc["f"], "f")]
         if pde:
-            times = tuple(_string(v, "each times entry") for v in
+            times = tuple(_name(v, "each times entry") for v in
                           _array(doc.get("times", ["t1", "t2"]), "times"))
             registry = _opaque_registry(rows)
             return PDESymmetryCandidate.closed(
                 [parse(e, times, registry=registry) for e in rows], times)
-        time = _string(doc.get("time", "t"), "time")
+        time = _name(doc.get("time", "t"), "time")
         registry = _opaque_registry(rows)
         return SymmetryCandidate.closed(
             [parse(e, [time], registry=registry) for e in rows], time=time)
@@ -178,10 +194,11 @@ def _candidate_from_doc(doc: dict, pde: bool):
 
 def _path_from_doc(doc: dict) -> TimePath:
     try:
-        waypoints = [tuple(float(v) for v in _array(w, "each waypoint"))
+        waypoints = [tuple(_number(v, "each waypoint entry")
+                           for v in _array(w, "each waypoint"))
                      for w in _array(doc["waypoints"], "waypoints")]
         steps = doc.get("steps", 200)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad path document: {exc}") from exc
     if type(steps) is not int:  # a JSON true or 2.7 is no step count
         raise ParseError(f"steps must be a JSON integer, got {steps!r}")

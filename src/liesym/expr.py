@@ -852,6 +852,15 @@ class _Parser:
         raise ParseError(f"unexpected token at position {pos} in {self.text!r}")
 
 
+def _is_name(text: str) -> bool:
+    """True when text is one identifier, which parse reads back as itself."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("ident", text)
+
+
 def parse(text: str, variables: Iterable[str], *,
           registry: Optional[Mapping[str, OpaqueFunction]] = None) -> Expr:
     """Parse infix syntax with exact rationals, ^ powers and @fn(t) leaves.

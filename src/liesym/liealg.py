@@ -17,12 +17,13 @@ LieAlgebraBasis._known.
 
 from __future__ import annotations
 
+import numbers
 import random
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import rlinalg
-from .errors import DependentBasis, NotClosed
+from .errors import DependentBasis, DimensionMismatch, NotClosed
 from .expr import Expr, OpaqueNoEvaluator, UnboundSymbol, compile_numeric
 from .vectorfield import VectorField, lie_bracket
 
@@ -112,9 +113,17 @@ class StructureTensor:
 
     @staticmethod
     def from_triples(r: int, triples: Sequence[Sequence]) -> "StructureTensor":
+        """Read 1-based [alpha, beta, gamma, value] rows; an index that is
+        not an integer in 1..r raises DimensionMismatch."""
         t = StructureTensor(r)
         for a, b, g, v in triples:
-            t.set(int(a) - 1, int(b) - 1, int(g) - 1, Fraction(str(v)))
+            for i in (a, b, g):
+                if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
+                        or not 1 <= i <= r):
+                    raise DimensionMismatch(
+                        f"structure-constant index {i!r} is not an integer "
+                        f"in 1..{r}")
+            t.set(a - 1, b - 1, g - 1, Fraction(str(v)))
         return t
 
 

@@ -44,7 +44,7 @@ from .errors import (
     QuadratureDiverged,
     TransportLeftDomain,
 )
-from .expr import Expr, ZeroStatus, compile_numeric
+from .expr import Expr, ZeroStatus, _is_name, compile_numeric
 from .integrate import Trajectory, _check_span, cumulative_simpson, rk4_solve
 from .liealg import LieAlgebraBasis, StructureTensor, center
 from .vectorfield import VectorField, lie_bracket
@@ -66,7 +66,13 @@ class _SystemCore:
     excluded: Optional[Callable[[Sequence[float]], bool]] = None
 
     def _check(self, times: Tuple[str, ...]) -> None:
-        """DimensionMismatch unless coeffs, times and state_box fit the basis."""
+        """BadParams unless every time and state name is one identifier
+        (a comma or a space would break the CSV header), DimensionMismatch
+        unless coeffs, times and state_box fit the basis."""
+        for name in times + self.vars:
+            if not _is_name(name):
+                raise BadParams(f"time and state names must be identifiers, "
+                                f"got {name!r}")
         if len(self.coeffs) != self.r:
             raise DimensionMismatch(
                 f"{self.r} basis fields but {len(self.coeffs)} coefficients")

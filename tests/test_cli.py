@@ -545,6 +545,37 @@ def test_documents_need_string_names(tmp_path, monkeypatch, capsys, key, argv,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
 
+# a name that is not one identifier is refused: a "time" of "t,u" wrote the
+# CSV header t,u,x,err_est over 3-column rows
+@pytest.mark.parametrize("key, argv, doc", [
+    ("time", ("integrate", "--x0", "0.5", "--input"), dict(SYSTEM, time="t,u")),
+    ("time", ("symmetrize", "--input"), dict(SYSTEM, time=" t")),
+    ("each vars entry", ("check-algebra", "--input"), dict(SYSTEM, vars=["x y"])),
+    ("each times entry", ("pde", "--input"), dict(MULTI, times=["s", "t,u"])),
+    ("time", ("verify", "--catalog", "riccati", "--param", "eta=t",
+              "--candidate"), {"time": "1t", "f": ["1", "0", "0", "0"]}),
+    ("each times entry", ("verify", "--catalog", "partial_riccati",
+                          "--candidate"), {"times": ["t1", ""], "f": [1, 0, 0]}),
+])
+def test_documents_need_identifier_names(tmp_path, monkeypatch, capsys, key,
+                                         argv, doc):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(*argv, write_json(tmp_path / "doc.json", doc))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith(f"liesym: error: {key} must be one identifier"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+
+
+@pytest.mark.parametrize("times", ["1,2", "", "t1,t 2"])
+def test_param_times_must_be_identifiers(capsys, times):
+    code, out = run_cli("show", "partial_riccati", "--param", f"times={times}")
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("liesym: error: time and state names must be "
+                          "identifiers") and err.count("\n") == 1, err
+
+
 # a derivative past the end of a formal @name chain is a usage error, as a
 # value of an opaque profile is, and not a traceback
 @pytest.mark.parametrize("argv, doc", [
@@ -581,6 +612,9 @@ def test_main_builds_its_parser_once(monkeypatch):
 @pytest.mark.parametrize("key, doc", [
     ("waypoints", {"waypoints": "01"}),
     ("each waypoint", {"waypoints": [[0, 0], "11"]}),
+    # float() read "0" and true as numbers
+    ("each waypoint entry", {"waypoints": [["0", "0"], [True, 1]]}),
+    ("each waypoint entry", {"waypoints": [[0, 0], [True, 1]]}),
     ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": 2.7}),
     ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": True}),
     ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": "200"}),

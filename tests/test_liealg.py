@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liesym import DependentBasis, Expr, NotClosed, OpaqueFunction, make, names
+from liesym.errors import DimensionMismatch
 from liesym.liealg import (
     LieAlgebraBasis,
     StructureTensor,
@@ -194,6 +195,18 @@ def test_triples_round_trip():
     triples = t.to_triples()
     assert triples == [[1, 2, 1, "1"], [1, 3, 2, "2"], [2, 3, 3, "1"]]
     assert StructureTensor.from_triples(3, triples) == t
+
+
+@pytest.mark.parametrize("triple", [
+    [0, 2, 1, "1"],  # stored as the key (-1, 1, 0)
+    [1, 4, 1, "1"],  # kept, and ignored by jacobi_residual
+    [1.5, 2, 1, "1"],  # truncated to 1
+    [1, True, 2, "1"],
+    ["1", 2, 1, "1"],
+])
+def test_from_triples_needs_integer_indices_in_range(triple):
+    with pytest.raises(DimensionMismatch, match="not an integer in 1..3"):
+        StructureTensor.from_triples(3, [triple])
 
 
 def test_basis_wrapper():

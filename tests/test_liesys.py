@@ -640,6 +640,21 @@ def test_flow_transport_compiles_each_kernel_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("time, var", [("t,u", "x"), ("t", "x y"),
+                                       (" t", "x"), ("t", "")])
+def test_system_names_must_be_identifiers(time, var):
+    # a name with a comma or a space breaks the CSV header
+    x = Expr.var("x")
+    fields = [VectorField((var,), [c]) for c in (1, x, x * x)]
+    with pytest.raises(BadParams, match="names must be identifiers"):
+        LieSystem(LieAlgebraBasis(fields), (0, 0, 1), time=time)
+    with pytest.raises(BadParams, match="names must be identifiers"):
+        PDELieSystem(LieAlgebraBasis(sl2_line_fields()),
+                     ((1, 1), (0, 0), (0, 0)), times=(time, var))
+    with pytest.raises(BadParams, match="names must be identifiers"):
+        make("partial_riccati", times=(time, var))
+
+
 def test_candidates_in_another_time_symbol_are_refused():
     # the closed check read the s of a candidate in s as a constant, so
     # this non-symmetry (it FAILs when written in t) passed exactly
