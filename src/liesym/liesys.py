@@ -855,9 +855,10 @@ def symmetry_algebra_f0_zero(sys: LieSystem,
             for j in range(i + 1, r):
                 # [Y_i, Y_j] - sum_g c_ijg Y_g with Y_i = sum_a fvecs[i][a] X_a
                 lin = [0.0] * r
-                for g, c in enumerate(tensor.bracket(units[i], units[j])):
+                for g in range(r):
+                    c = float(tensor.c(i, j, g))
                     for a in range(r):
-                        lin[a] += -float(c) * fvecs[g][a]
+                        lin[a] -= c * fvecs[g][a]
                 weights = lin + _pair_weights(fvecs[i], fvecs[j])
                 worst = max(worst, residual(weights))
     return VerticalFamilyReport(worst,

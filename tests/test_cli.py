@@ -385,6 +385,18 @@ def test_pde_non_finite_waypoint_is_usage(tmp_path, bad):
     assert code == EXIT_USAGE
 
 
+def test_pde_waypoint_past_the_float_range_is_parse_error(tmp_path, capsys):
+    # a 401-digit JSON integer raised OverflowError in float()
+    path = tmp_path / "path.json"
+    path.write_text('{"waypoints": [[0, 0], [1, 1%s]]}' % ("0" * 400))
+    code, _ = run_cli("pde", "--catalog", "partial_riccati", "--x0", "0.2",
+                      "--path", str(path), "--out", str(tmp_path / "p.csv"))
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith("liesym: error: bad path document: ") and \
+        err.count("\n") == 1, err
+
+
 def test_pde_flat_default(tmp_path):
     rep = tmp_path / "r.json"
     code, out = run_cli("pde", "--catalog", "partial_riccati",
