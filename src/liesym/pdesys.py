@@ -407,10 +407,10 @@ def pde_candidate_from_path(built: PDESymmetrySystem, traj: Trajectory,
     drifts = compile_numeric([c for l in range(sysf.s)
                               for c in sysf.drift_field(l).components],
                              sysf.times + sysf.vars)
-    # drifts lists direction l's n components at l*n; dvalues[k][p][l]
-    dvalues = [[out[p::n] for p in range(n)]
-               for out in (drifts(list(tp) + y) for tp, y
-                           in zip(tpoints, traj.states.tolist()))]
+    dvalues = []
+    for tp, y in zip(tpoints, traj.states.tolist()):
+        out = drifts(list(tp) + y)  # direction l's n components at l*n
+        dvalues.append([out[p::n] for p in range(n)])
     return PDESymmetryCandidate.sampled(tpoints, traj.states, dvalues,
                                         times=sysf.times)
 
