@@ -624,12 +624,12 @@ def test_main_builds_its_parser_once(monkeypatch):
 @pytest.mark.parametrize("key, doc", [
     ("waypoints", {"waypoints": "01"}),
     ("each waypoint", {"waypoints": [[0, 0], "11"]}),
-    # float() read "0" and true as numbers
-    ("each waypoint entry", {"waypoints": [["0", "0"], [True, 1]]}),
-    ("each waypoint entry", {"waypoints": [[0, 0], [True, 1]]}),
     ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": 2.7}),
     ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": True}),
     ("steps", {"waypoints": [[0, 0], [1, 1]], "steps": "200"}),
+    # float() read "0" and true as numbers
+    ("each waypoint entry", {"waypoints": [["0", "0"], [True, 1]]}),
+    ("each waypoint entry", {"waypoints": [[0, 0], [True, 1]]}),
 ])
 def test_path_document_needs_arrays_and_integer_steps(tmp_path, capsys, key,
                                                       doc):
